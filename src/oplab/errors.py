@@ -58,6 +58,10 @@ class SizeBoundExceeded(OplabError):
     """An enumeration would exceed the configured bound."""
 
 
+class InvalidBound(OplabError):
+    """A size bound given to a suite is negative."""
+
+
 class UnknownObject(OplabError):
     """Object name not present in the category."""
 

@@ -15,6 +15,7 @@ from enum import Enum
 
 from .errors import (
     IndexOutOfRange,
+    InvalidBound,
     InvalidLabels,
     LabelSetMismatch,
     MissingLabelImage,
@@ -692,6 +693,8 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
     (3) morphism counts over a fixed base map factor as the product of the
         counts into each single-edge restriction of the target.
     """
+    if max_edges < 0:
+        raise InvalidBound(f"max_edges must be at least 0, got {max_edges}")
     objects = enumerate_objects(tag, labels, max_edges)
     checks = (
         _check_inert_lifts(objects),

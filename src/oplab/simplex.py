@@ -7,10 +7,12 @@ source of the stored arrow is typically the longer chain.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
+    InvalidBound,
     InvalidLabels,
     NotActive,
     NotAPath,
@@ -281,11 +283,22 @@ def _actives_into(graph_pool, y: LabeledSimplex):
 
 
 class _HomCache:
-    """Memoized hom-sets between chains and between their path images."""
+    """Memoized hom-sets between chains and between their path images, and
+    the path image of each chain morphism.
+
+    One cache serves one approximation suite; every entry is computed by
+    the public enumerators and by ``cut_morphism``.
+    """
 
     def __init__(self):
         self.delta: dict[tuple, list[DeltaOpMorphism]] = {}
         self.cuts: dict[tuple, list[GraphMorphism]] = {}
+        self.cut_of: dict[DeltaOpMorphism, GraphMorphism] = {}
+
+    def cut(self, m: DeltaOpMorphism) -> GraphMorphism:
+        if m not in self.cut_of:
+            self.cut_of[m] = cut_morphism(m)
+        return self.cut_of[m]
 
     def delta_homs(self, a: LabeledSimplex, b: LabeledSimplex):
         key = (a.chain, b.chain)
@@ -311,7 +324,7 @@ def _check_cartesian_lifts(labels: LabelSet, simplices, graph_pool) -> Check:
             source, lift = cartesian_lift(y, phi)
             order = [e for fib in phi.fibers for e in fib]
             if order == sorted(order):
-                if cut_morphism(lift) != phi:
+                if cache.cut(lift) != phi:
                     return Check(
                         "cartesian-lifts", False, f"{y.chain}: lift does not cut back to the input"
                     )
@@ -323,27 +336,36 @@ def _check_cartesian_lifts(labels: LabelSet, simplices, graph_pool) -> Check:
 
 
 def _check_universal(simplices, y, xbar, lift, cache: _HomCache) -> Check | None:
-    """Every factorization through the path image extends uniquely to chains."""
-    cut_lift = cut_morphism(lift)
+    """Every factorization through the path image extends uniquely to chains.
+
+    For each chain z, each h0: z -> y and each psi: cut(z) -> cut(xbar)
+    with psi;cut(lift) = cut(h0), exactly one h: z -> xbar must satisfy
+    h;lift = h0 and cut(h) = psi. Pairs are tested h0-major, psi in
+    enumeration order, and the first failing pair is the witness.
+
+    Every psi runs cut(z) -> cut(xbar), so every composite psi;cut(lift)
+    and every cut(h0) runs cut(z) -> cut(y). Grouping the psis by
+    composite therefore yields, for each h0, exactly the psis the pairwise
+    scan would accept, in the same order; and counting each h under the
+    key (h;lift, cut(h)) yields exactly the number of matches that scan
+    would find for (h0, psi).
+    """
+    cut_lift = cache.cut(lift)
     for z in simplices:
-        into_y = cache.delta_homs(z, y)
-        into_x = cache.delta_homs(z, xbar)
-        psis = cache.cut_homs(z, xbar)
-        for h0 in into_y:
-            cut_h0 = cut_morphism(h0)
-            for psi in psis:
-                if compose_graph_morphisms(psi, cut_lift) != cut_h0:
-                    continue
-                matches = [
-                    h
-                    for h in into_x
-                    if compose_delta(h, lift) == h0 and cut_morphism(h) == psi
-                ]
-                if len(matches) != 1:
+        by_composite: dict[GraphMorphism, list[GraphMorphism]] = {}
+        for psi in cache.cut_homs(z, xbar):
+            by_composite.setdefault(compose_graph_morphisms(psi, cut_lift), []).append(psi)
+        factorizations = Counter(
+            (compose_delta(h, lift), cache.cut(h)) for h in cache.delta_homs(z, xbar)
+        )
+        for h0 in cache.delta_homs(z, y):
+            for psi in by_composite.get(cache.cut(h0), ()):
+                count = factorizations[h0, psi]
+                if count != 1:
                     return Check(
                         "cartesian-universal",
                         False,
-                        f"{z.chain} -> {y.chain}: {len(matches)} factorizations through {xbar.chain}",
+                        f"{z.chain} -> {y.chain}: {count} factorizations through {xbar.chain}",
                     )
     return None
 
@@ -401,6 +423,8 @@ def check_approximation(labels: LabelSet, max_dim: int) -> ValidationReport:
     image, the fiber condition over single labels, and the left-module
     marking rules including the naturality square.
     """
+    if max_dim < 0:
+        raise InvalidBound(f"max_dim must be at least 0, got {max_dim}")
     simplices = enumerate_simplices(labels, max_dim + 1)
     pool = []
     max_edges = max_dim

@@ -171,3 +171,14 @@ def test_text_report_shows_fail_witness():
     report = cli.Report("fail", (Check("thing", False, "broken here"),), 0)
     text = render(report, "text")
     assert "FAIL thing -- broken here" in text
+
+
+def test_negative_bounds_exit_two():
+    for argv in [
+        ["check-approximation", "--labels", "a", "--max-dim", "-2"],
+        ["check-operad", "--labels", "a", "--max-edges", "-1"],
+    ]:
+        report, code = run(["--deterministic"] + argv)
+        assert code == 2, (argv, report)
+        assert report.status == "error"
+        assert report.checks[0].witness.startswith("InvalidBound: ")

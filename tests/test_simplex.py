@@ -1,5 +1,6 @@
 import pytest
 
+from oplab import simplex
 from oplab.errors import InvalidLabels, NotActive, SourceTargetMismatch, ValidationError
 from oplab.graphs import (
     Graph,
@@ -29,6 +30,7 @@ from oplab.simplex import (
     lcut_morphism,
     structural_inert,
 )
+from oplab.report import Check
 
 S = labelset("a", "b")
 
@@ -181,3 +183,106 @@ def test_lcut_marking_rules_spot():
 def test_check_approximation_small():
     rep = check_approximation(labelset("a"), 2)
     assert rep.ok, rep.first_failure()
+
+
+# ---------------------------------------------------------------------------
+# The indexed cartesian-universal check against the pairwise scan, and the
+# seeded defects the approximation suite must report.
+
+
+def _scan_check_universal(simplices, y, xbar, lift, cache):
+    """Reference: test every (h0, psi) pair and scan every h for matches."""
+    cut_lift = simplex.cut_morphism(lift)
+    for z in simplices:
+        into_y = cache.delta_homs(z, y)
+        into_x = cache.delta_homs(z, xbar)
+        psis = cache.cut_homs(z, xbar)
+        for h0 in into_y:
+            cut_h0 = simplex.cut_morphism(h0)
+            for psi in psis:
+                if simplex.compose_graph_morphisms(psi, cut_lift) != cut_h0:
+                    continue
+                matches = [
+                    h
+                    for h in into_x
+                    if simplex.compose_delta(h, lift) == h0 and simplex.cut_morphism(h) == psi
+                ]
+                if len(matches) != 1:
+                    return Check(
+                        "cartesian-universal",
+                        False,
+                        f"{z.chain} -> {y.chain}: {len(matches)} factorizations through {xbar.chain}",
+                    )
+    return None
+
+
+def _duplicate_homs(monkeypatch):
+    real = simplex.enumerate_delta_morphisms
+
+    def defective(a, b):
+        homs = real(a, b)
+        return homs + homs if (a.dim(), b.dim()) == (2, 1) else homs
+
+    monkeypatch.setattr(simplex, "enumerate_delta_morphisms", defective)
+
+
+def _collapse_leading_index(monkeypatch):
+    # composites into chains of dimension >= 1 only; equal leading labels
+    # keep the damaged index map label-preserving
+    real = simplex.compose_delta
+
+    def defective(m, m2):
+        out = real(m, m2)
+        g = out.underlying
+        if len(g) > 1 and g[0] == 1 and out.source.chain[0] == out.source.chain[1]:
+            return DeltaOpMorphism(out.source, out.target, (0,) + g[1:])
+        return out
+
+    monkeypatch.setattr(simplex, "compose_delta", defective)
+
+
+def _reverse_two_edge_fibers(monkeypatch):
+    real = simplex.compose_graph_morphisms
+
+    def defective(f, g):
+        out = real(f, g)
+        fibers = tuple(fib[::-1] if len(fib) == 2 else fib for fib in out.fibers)
+        return GraphMorphism(out.source, out.target, out.edge_map, fibers)
+
+    monkeypatch.setattr(simplex, "compose_graph_morphisms", defective)
+
+
+DEFECTS = {
+    "duplicate-homs": (
+        _duplicate_homs,
+        "('a', 'a', 'a') -> ('a', 'a'): 2 factorizations through ('a', 'a')",
+    ),
+    "collapse-leading-index": (
+        _collapse_leading_index,
+        "('a', 'a') -> ('a', 'a'): 0 factorizations through ('a',)",
+    ),
+    "reverse-two-edge-fibers": (
+        _reverse_two_edge_fibers,
+        "('a', 'a', 'a') -> ('a', 'a'): 0 factorizations through ('a', 'a')",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", [None, *DEFECTS])
+def test_indexed_universal_matches_scan(monkeypatch, defect):
+    if defect is not None:
+        DEFECTS[defect][0](monkeypatch)
+    for labels in (labelset("a"), S):
+        shipped = check_approximation(labels, 2)
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_check_universal", _scan_check_universal)
+            reference = check_approximation(labels, 2)
+        assert shipped == reference
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_approximation_reports_seeded_defect(monkeypatch, defect):
+    seed, witness = DEFECTS[defect]
+    seed(monkeypatch)
+    rep = check_approximation(labelset("a"), 3)
+    assert Check("cartesian-universal", False, witness) in rep.checks
