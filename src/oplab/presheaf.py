@@ -6,11 +6,13 @@ action, duality) is computed from that table and checked exhaustively.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .enriched import EnrichedCategory, EnrichedFunctor, is_enriched_functor, opposite
-from .errors import BaseMismatch, SizeBoundExceeded, UnknownObject
+from .errors import BaseMismatch, SizeBoundExceeded, UnknownObject, ValidationError
 from .quantale import (
     LEFT,
     RIGHT,
@@ -140,7 +142,8 @@ def yoneda_check(c: EnrichedCategory, x: str, m_elt: int, f: Presheaf) -> tuple[
 
 def tensor_action(f: Presheaf, a: int) -> Presheaf:
     """Right action on self-valued presheaves: (F.a)(X) = F(X)*a."""
-    assert f.is_self, "the right action lives on self-valued presheaves"
+    if not f.is_self:
+        raise BaseMismatch("the right action lives on self-valued presheaves")
     q = f.category.base
     return Presheaf(f.category, f.module, tuple(q.mul(v, a) for v in f.values))
 
@@ -183,7 +186,8 @@ def density_decompose(f: Presheaf) -> list[Presheaf]:
     The identity f = join of the components is asserted; a failure would
     be an engine bug, not a property of the input.
     """
-    assert f.is_self, "density is stated for self-valued presheaves"
+    if not f.is_self:
+        raise BaseMismatch("density is stated for self-valued presheaves")
     c = f.category
     parts = [free_presheaf(c, x, f.values[i]) for i, x in enumerate(c.objects.labels)]
     assert join_presheaves(parts, c, f.module) == f, "density identity failed"
@@ -267,6 +271,7 @@ class PresheafLattice:
             for i in range(n)
         )
         self.bottom_index = self.index_of(join_presheaves([], category, left_self_module(q)))
+        self._laws: dict[ModuleLattice, tuple[ModuleMapLaw, ...]] = {}
 
     def index_of(self, f: Presheaf) -> int:
         try:
@@ -318,26 +323,70 @@ class ModuleMap:
         return hash((id(self.lattice), self.target, self.table))
 
 
-def validate_modulemap(phi: ModuleMap) -> ValidationReport:
-    """Empty and binary join preservation plus right equivariance."""
-    lat, n = phi.lattice, phi.target
-    q = lat.category.base
-    if phi.table[lat.bottom_index] != module_bottom(n):
-        return ValidationReport((Check("join-preservation", False, "empty join"),))
-    size = lat.size()
+class ModuleMapLaw(NamedTuple):
+    """One law of a module map: table[out] == rule(*table[inputs])."""
+
+    check: str
+    witness: str
+    out: int
+    inputs: tuple[int, ...]
+    rule: Callable[..., int]
+
+    @property
+    def last(self) -> int:
+        """The highest table position the law reads."""
+        return max((self.out,) + self.inputs)
+
+    def holds(self, table) -> bool:
+        return table[self.out] == self.rule(*(table[i] for i in self.inputs))
+
+
+def modulemap_laws(lattice: PresheafLattice, n: ModuleLattice) -> tuple[ModuleMapLaw, ...]:
+    """Every law of a module map from the lattice into n, in validation
+    order; built once per lattice and target."""
+    cached = lattice._laws.get(n)
+    if cached is not None:
+        return cached
+    q = lattice.category.base
+    size = lattice.size()
+    bottom = module_bottom(n)
+    joins = tuple(tuple(module_join(n, (x, y)) for y in range(n.size())) for x in range(n.size()))
+
+    def join(x: int, y: int) -> int:
+        return joins[x][y]
+
+    laws = [ModuleMapLaw("join-preservation", "empty join", lattice.bottom_index, (), lambda: bottom)]
     for i in range(size):
         for j in range(i, size):
-            want = module_join(n, (phi.table[i], phi.table[j]))
-            if phi.table[lat.join_table[i][j]] != want:
-                return ValidationReport(
-                    (Check("join-preservation", False, f"pair ({i},{j})"),)
-                )
+            laws.append(
+                ModuleMapLaw("join-preservation", f"pair ({i},{j})", lattice.join_table[i][j], (i, j), join)
+            )
     for i in range(size):
         for a in range(q.size()):
-            if phi.table[lat.module.act(a, i)] != n.act(a, phi.table[i]):
-                return ValidationReport(
-                    (Check("equivariance", False, f"presheaf {i}, scalar {q.elements[a]}"),)
+            laws.append(
+                ModuleMapLaw(
+                    "equivariance",
+                    f"presheaf {i}, scalar {q.elements[a]}",
+                    lattice.module.act(a, i),
+                    (i,),
+                    functools.partial(n.act, a),
                 )
+            )
+    lattice._laws[n] = laws = tuple(laws)
+    return laws
+
+
+def validate_modulemap(phi: ModuleMap) -> ValidationReport:
+    """Empty and binary join preservation plus right equivariance.
+
+    This owns the law list: `modulemap_laws` is the only definition of
+    the laws, listed in the order checked here, and the first law that
+    fails is reported with its witness. `enumerate_modulemaps` prunes its
+    search with the same list.
+    """
+    for law in modulemap_laws(phi.lattice, phi.target):
+        if not law.holds(phi.table):
+            return ValidationReport((Check(law.check, False, law.witness),))
     return ValidationReport((Check("module-map", True, None),))
 
 
@@ -390,14 +439,38 @@ def enumerate_copresheaves(
 def enumerate_modulemaps(
     lattice: PresheafLattice, n: ModuleLattice, cap: int = 1_000_000
 ) -> list[ModuleMap]:
-    total = n.size() ** lattice.size()
+    """All module maps from the lattice into n, in table order.
+
+    A depth-first search assigns table positions 0, 1, 2, ... in turn,
+    trying the values of n in order, so it visits tables in the order of
+    `itertools.product`. After assigning a position it tests every law of
+    `modulemap_laws` whose highest position that is, and abandons the
+    partial table on the first violation. Each complete table is
+    validated whole before it is returned. `cap` bounds the number of
+    candidate tables, |n|^|lattice|, as if every one were tried.
+    """
+    size = lattice.size()
+    total = n.size() ** size
     if total > cap:
         raise SizeBoundExceeded(f"{total} candidate tables exceed cap {cap}")
+    laws_at = [[] for _ in range(size)]
+    for law in modulemap_laws(lattice, n):
+        laws_at[law.last].append(law)
+    table = [0] * size
     out = []
-    for table in itertools.product(range(n.size()), repeat=lattice.size()):
-        phi = ModuleMap(lattice, n, table)
-        if validate_modulemap(phi).ok:
-            out.append(phi)
+
+    def extend(p: int) -> None:
+        if p == size:
+            phi = ModuleMap(lattice, n, table)
+            if validate_modulemap(phi).ok:
+                out.append(phi)
+            return
+        for v in range(n.size()):
+            table[p] = v
+            if all(law.holds(table) for law in laws_at[p]):
+                extend(p + 1)
+
+    extend(0)
     return out
 
 
@@ -408,7 +481,9 @@ def check_duality_bijection(
 
     Checks that the counts agree, that evaluation on representables and
     the join formula round-trip to the identity in both directions, and
-    that every produced value validates.
+    that every produced value validates. A translation whose result fails
+    validation is reported as a failed round trip, with the element and
+    the error as the witness.
     """
     lattice = presheaf_lattice(c)
     cops = enumerate_copresheaves(c, n, cap)
@@ -424,7 +499,11 @@ def check_duality_bijection(
     ok = True
     witness = None
     for g in cops:
-        back = duality_to_copresheaf(duality_to_modulemap(g, lattice))
+        try:
+            back = duality_to_copresheaf(duality_to_modulemap(g, lattice))
+        except ValidationError as e:
+            ok, witness = False, f"copresheaf {g.values}: {e}"
+            break
         if back != g:
             ok, witness = False, f"copresheaf {g.values} returned as {back.values}"
             break
@@ -432,7 +511,11 @@ def check_duality_bijection(
     ok = True
     witness = None
     for phi in maps:
-        back = duality_to_modulemap(duality_to_copresheaf(phi), lattice)
+        try:
+            back = duality_to_modulemap(duality_to_copresheaf(phi), lattice)
+        except ValidationError as e:
+            ok, witness = False, f"module map {phi.table}: {e}"
+            break
         if back != phi:
             ok, witness = False, f"module map {phi.table} returned as {back.table}"
             break

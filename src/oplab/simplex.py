@@ -389,9 +389,9 @@ def _check_lcut_marking(simplices) -> Check:
             for m in enumerate_delta_morphisms(a, b):
                 cls = classify_delta(m)
                 inert = cls in (DeltaClass.INERT, DeltaClass.TOTALLY_INERT)
-                square_01 = None
+                lcuts = {}
                 for i, j in arrows:
-                    lm = lcut_morphism(m, i, j)
+                    lm = lcuts[i, j] = lcut_morphism(m, i, j)
                     rep = validate_morphism(lm)
                     if not rep.ok:
                         return Check(
@@ -405,11 +405,9 @@ def _check_lcut_marking(simplices) -> Check:
                             False,
                             f"{a.chain}->{b.chain} at {i}->{j}: inert={got}, marking says {expected}",
                         )
-                    if (i, j) == (0, 1):
-                        square_01 = lm
-                via_target = compose_graph_morphisms(lcut_morphism(m, 0, 0), structural_inert(m.target))
-                via_source = compose_graph_morphisms(structural_inert(m.source), lcut_morphism(m, 1, 1))
-                if square_01 != via_target or square_01 != via_source:
+                via_target = compose_graph_morphisms(lcuts[0, 0], structural_inert(m.target))
+                via_source = compose_graph_morphisms(structural_inert(m.source), lcuts[1, 1])
+                if lcuts[0, 1] != via_target or lcuts[0, 1] != via_source:
                     return Check("lcut-marking", False, f"{a.chain}->{b.chain}: naturality square broken")
                 checked += 1
     return Check("lcut-marking", True, f"{checked} chain morphisms")

@@ -330,6 +330,12 @@ def test_criterion_9_duality():
         rep_ = check_duality_bijection(luk2_cat, right_self_module(LUK2))
         assert rep_.ok, rep_.first_failure()
         details.append(rep_.checks[0].witness)
+        objs = labelset(*[f"o{i}" for i in range(4)])
+        discrete = tuple(tuple(BOOL.unit if i == j else 0 for j in range(4)) for i in range(4))
+        rep_ = check_duality_bijection(EnrichedCategory(BOOL, objs, discrete), right_self_module(BOOL))
+        assert rep_.ok, rep_.first_failure()
+        assert rep_.checks[0].witness == "16 copresheaves vs 16 module maps"
+        details.append(rep_.checks[0].witness)
         return "; ".join(details)
 
     _report(9, "presheaf/copresheaf duality", 120, body)

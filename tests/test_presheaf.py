@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oplab import presheaf
 from oplab.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
@@ -38,6 +39,7 @@ from oplab.presheaf import (
     yoneda_copresheaf,
 )
 from oplab.quantale import (
+    RIGHT,
     boolean_downset_module,
     boolean_quantale,
     chain_lattice,
@@ -59,6 +61,12 @@ LUK3 = lukasiewicz(3)
 PREORDER = EnrichedCategory(BOOL, S, ((1, 1), (0, 1)))
 METRIC = EnrichedCategory(LUK3, S, ((3, 1), (2, 3)))
 BOOL_CATS = enumerate_categories(BOOL, S)
+
+
+def _discrete(base, k):
+    objs = labelset(*[f"o{i}" for i in range(k)])
+    hom = tuple(tuple(base.unit if i == j else 0 for j in range(k)) for i in range(k))
+    return EnrichedCategory(base, objs, hom)
 
 
 def test_validate_constant_top_and_downsets():
@@ -362,3 +370,103 @@ def test_copresheaves_transport_module():
         g = Copresheaf(METRIC, n, values)
         p = Presheaf(opposite(METRIC), t, values)
         assert validate_copresheaf(g).ok == validate_presheaf(p).ok
+
+
+def _reference_modulemaps(lattice, n):
+    """Every table in product order, kept when it validates."""
+    out = []
+    for table in itertools.product(range(n.size()), repeat=lattice.size()):
+        phi = ModuleMap(lattice, n, table)
+        if validate_modulemap(phi).ok:
+            out.append(phi)
+    return out
+
+
+def test_modulemap_search_matches_reference():
+    luk2 = lukasiewicz(2)
+    targets = [right_self_module(BOOL)] + [boolean_downset_module(k, RIGHT) for k in (1, 2, 3)]
+    instances = [(c, n) for c in BOOL_CATS for n in targets]
+    instances += [(c, right_self_module(luk2)) for c in enumerate_categories(luk2, S)]
+    instances.append((_discrete(BOOL, 3), right_self_module(BOOL)))
+    assert len(instances) == 26
+    for c, n in instances:
+        lat = presheaf_lattice(c)
+        searched = [m.table for m in enumerate_modulemaps(lat, n)]
+        assert searched == [m.table for m in _reference_modulemaps(lat, n)], (c.hom, n.elements)
+
+
+def test_modulemap_cap_refuses_before_searching():
+    lat = presheaf_lattice(PREORDER)
+    n = right_self_module(BOOL)
+    total = n.size() ** lat.size()
+    assert len(enumerate_modulemaps(lat, n, cap=total)) == 3
+    with pytest.raises(SizeBoundExceeded):
+        enumerate_modulemaps(lat, n, cap=total - 1)
+    with pytest.raises(SizeBoundExceeded):
+        check_duality_bijection(_discrete(BOOL, 5), n)
+
+
+def _drop_second_of_two(join):
+    def patched(fs, category=None, module=None):
+        fs = list(fs)
+        return join(fs[:1] if len(fs) == 2 else fs, category, module)
+
+    return patched
+
+
+def _drop_equivariance(build):
+    def patched(lattice, n):
+        return tuple(law for law in build(lattice, n) if law.check != "equivariance")
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "defect, category, failures",
+    [
+        (
+            ("tensor_action", lambda orig: lambda f, a: f),
+            BOOL_CATS[0],
+            {
+                "counts-equal": "4 copresheaves vs 1 module maps",
+                "copresheaf-roundtrip": "copresheaf (0, 1): duality_to_modulemap: "
+                "equivariance (presheaf 1, scalar 0)",
+            },
+        ),
+        (
+            ("join_presheaves", _drop_second_of_two),
+            BOOL_CATS[0],
+            {
+                "counts-equal": "4 copresheaves vs 1 module maps",
+                "copresheaf-roundtrip": "copresheaf (0, 1): duality_to_modulemap: "
+                "join-preservation (pair (0,1))",
+            },
+        ),
+        (
+            ("modulemap_laws", _drop_equivariance),
+            EnrichedCategory(lukasiewicz(2), S, ((2, 1), (0, 2))),
+            {
+                "counts-equal": "8 copresheaves vs 31 module maps",
+                "modulemap-roundtrip": "module map (0, 0, 0, 0, 0, 2, 2, 2): duality_to_copresheaf: "
+                "presheaf-action (hom(y,x).F(x) > F(y))",
+            },
+        ),
+    ],
+    ids=["tensor-action-identity", "join-drops-second", "no-equivariance-laws"],
+)
+def test_duality_reports_seeded_defect(monkeypatch, defect, category, failures):
+    name, wrap = defect
+    monkeypatch.setattr(presheaf, name, wrap(getattr(presheaf, name)))
+    report = check_duality_bijection(category, right_self_module(category.base))
+    got = {c.name: c.witness for c in report.checks if not c.ok}
+    assert got == failures
+
+
+def test_self_valued_operations_reject_other_modules():
+    module = boolean_downset_module(3)
+    f = Presheaf(PREORDER, module, (2, 1))
+    assert validate_presheaf(f).ok
+    with pytest.raises(BaseMismatch):
+        tensor_action(f, 1)
+    with pytest.raises(BaseMismatch):
+        density_decompose(f)
