@@ -7,15 +7,14 @@ zeroes the timing field.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
 from dataclasses import dataclass
 
 from . import io as artifacts
-from .enriched import EnrichedFunctor, is_enriched_functor, validate_category
-from .errors import OplabError, SizeBoundExceeded
+from .enriched import EnrichedFunctor, validate_category
+from .errors import OplabError
 from .graphs import (
     LabelSet,
     OperadTag,
@@ -24,28 +23,14 @@ from .graphs import (
     validate_morphism,
 )
 from .presheaf import (
+    check_density,
     check_duality_bijection,
-    density_decompose,
-    enumerate_presheaves,
-    ev,
-    free_presheaf,
-    join_presheaves,
-    leq_presheaves,
-    meet_presheaves,
-    pullback,
-    pushforward,
-    tensor_action,
+    check_pointwise_limits,
+    check_pushforward,
+    check_representability,
     validate_presheaf,
-    yoneda_check,
 )
-from .quantale import (
-    left_self_module,
-    module_join,
-    module_meet,
-    right_self_module,
-    validate_module,
-    validate_quantale,
-)
+from .quantale import right_self_module, validate_module, validate_quantale
 from .report import Check, ValidationReport
 from .simplex import check_approximation
 
@@ -136,35 +121,12 @@ def _cmd_pairing(args) -> tuple[ValidationReport, dict | None]:
 
 def _cmd_yoneda(args) -> tuple[ValidationReport, dict | None]:
     c = artifacts.load_category(args.category)
-    module = (
-        left_self_module(c.base)
-        if args.module == "self"
-        else artifacts.load_module(args.module)
-    )
-    presheaves = enumerate_presheaves(c, module)
-    count = 0
-    for f in presheaves:
-        for x in c.objects.labels:
-            for m_elt in range(module.size()):
-                yoneda_check(c, x, m_elt, f)
-                count += 1
-    return (
-        ValidationReport(
-            (Check("representability", True, f"{count} (object, element, presheaf) triples"),)
-        ),
-        None,
-    )
+    module = None if args.module == "self" else artifacts.load_module(args.module)
+    return check_representability(c, module), None
 
 
 def _cmd_density(args) -> tuple[ValidationReport, dict | None]:
-    c = artifacts.load_category(args.category)
-    presheaves = enumerate_presheaves(c)
-    for f in presheaves:
-        density_decompose(f)
-    return (
-        ValidationReport((Check("density", True, f"{len(presheaves)} presheaves decomposed"),)),
-        None,
-    )
+    return check_density(artifacts.load_category(args.category)), None
 
 
 def _cmd_duality(args) -> tuple[ValidationReport, dict | None]:
@@ -178,88 +140,13 @@ def _cmd_duality(args) -> tuple[ValidationReport, dict | None]:
 
 
 def _cmd_colimit(args) -> tuple[ValidationReport, dict | None]:
-    c = artifacts.load_category(args.category)
-    presheaves = enumerate_presheaves(c)
-    if len(presheaves) > 16:
-        raise SizeBoundExceeded(f"{2 ** len(presheaves)} families exceed the family bound")
-    module = left_self_module(c.base)
-    families = 0
-    for r in range(len(presheaves) + 1):
-        for family in itertools.combinations(presheaves, r):
-            j = join_presheaves(family, c, module)
-            m = meet_presheaves(family, c, module)
-            if not validate_presheaf(j).ok or not validate_presheaf(m).ok:
-                return (
-                    ValidationReport(
-                        (Check("pointwise-limits", False, f"family of size {r} fails to validate"),)
-                    ),
-                    None,
-                )
-            for x in c.objects.labels:
-                if ev(j, x) != module_join(module, tuple(ev(f, x) for f in family)):
-                    return (
-                        ValidationReport(
-                            (Check("pointwise-limits", False, f"join not pointwise at {x}"),)
-                        ),
-                        None,
-                    )
-                if ev(m, x) != module_meet(module, tuple(ev(f, x) for f in family)):
-                    return (
-                        ValidationReport(
-                            (Check("pointwise-limits", False, f"meet not pointwise at {x}"),)
-                        ),
-                        None,
-                    )
-            families += 1
-    return (
-        ValidationReport((Check("pointwise-limits", True, f"{families} families"),)),
-        None,
-    )
+    return check_pointwise_limits(artifacts.load_category(args.category)), None
 
 
 def _cmd_pushforward(args) -> tuple[ValidationReport, dict | None]:
     c = artifacts.load_category(args.source)
     d = artifacts.load_category(args.target)
-    phi = EnrichedFunctor(c, d)
-    is_enriched_functor(phi).require("pushforward")
-    fs = enumerate_presheaves(c)
-    gs = enumerate_presheaves(d)
-    q = c.base
-    for f in fs:
-        pf = pushforward(phi, f)
-        if not validate_presheaf(pf).ok:
-            return ValidationReport((Check("pushforward", False, f"image of {f.values} invalid"),)), None
-        for g in gs:
-            if leq_presheaves(pf, g) != leq_presheaves(f, pullback(phi, g)):
-                return (
-                    ValidationReport(
-                        (Check("pushforward", False, f"adjunction fails at {f.values}, {g.values}"),)
-                    ),
-                    None,
-                )
-        for a in range(q.size()):
-            if pushforward(phi, tensor_action(f, a)) != tensor_action(pf, a):
-                return (
-                    ValidationReport(
-                        (Check("pushforward", False, f"not equivariant at {f.values}, {q.elements[a]}"),)
-                    ),
-                    None,
-                )
-    for x in c.objects.labels:
-        for a in range(q.size()):
-            if pushforward(phi, free_presheaf(c, x, a)) != free_presheaf(d, x, a):
-                return (
-                    ValidationReport(
-                        (Check("pushforward", False, f"free presheaf at ({x},{q.elements[a]}) not preserved"),)
-                    ),
-                    None,
-                )
-    return (
-        ValidationReport(
-            (Check("pushforward", True, f"{len(fs)} presheaves against {len(gs)}"),)
-        ),
-        None,
-    )
+    return check_pushforward(EnrichedFunctor(c, d)), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("yoneda", help="representability biconditional sweep")
     p.add_argument("--category", required=True)
     p.add_argument("--module", default="self")
-    p.add_argument("--exhaustive", action="store_true", help="accepted for clarity; sweeps are always exhaustive")
     p.set_defaults(handler=_cmd_yoneda)
 
     p = sub.add_parser("density", help="decompose every presheaf over representables")
@@ -318,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_and_dispatch(argv: list[str]) -> tuple[Report, int]:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _dispatch(build_parser().parse_args(argv))
+
+
+def _dispatch(args) -> tuple[Report, int]:
     started = time.monotonic()
     try:
         rep, result = args.handler(args)
@@ -337,19 +225,10 @@ def parse_and_dispatch(argv: list[str]) -> tuple[Report, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    report, code = parse_and_dispatch(argv)
-    emit_report(report, _format_from_argv(argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    report, code = _dispatch(args)
+    emit_report(report, args.format)
     return code
-
-
-def _format_from_argv(argv: list[str]) -> str:
-    for i, tok in enumerate(argv):
-        if tok == "--format" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--format="):
-            return tok.split("=", 1)[1]
-    return "text"
 
 
 if __name__ == "__main__":

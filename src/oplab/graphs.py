@@ -8,7 +8,6 @@ same edge map but different fiber orders are different morphisms.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -31,15 +30,6 @@ from .report import Check, ValidationReport, failing, passing
 STAR = "*"
 
 DEFAULT_EDGE_BOUND = 6
-ENUM_BOUND_ENV = "OPLAB_MAX_ENUM"
-
-
-def edge_bound(override: int | None = None) -> int:
-    """Combined-edge bound for brute-force enumeration; env-overridable."""
-    if override is not None:
-        return override
-    raw = os.environ.get(ENUM_BOUND_ENV)
-    return int(raw) if raw else DEFAULT_EDGE_BOUND
 
 
 @dataclass(frozen=True)
@@ -131,16 +121,6 @@ def tag_labels(tag: OperadTag, labels: LabelSet) -> LabelSet:
     return LabelSet(labels.labels, True)
 
 
-def tag_admits(tag: OperadTag, g: Graph) -> bool:
-    if tag is OperadTag.ASSOC:
-        return not g.labels.pointed or all(STAR not in e for e in g.edges)
-    if tag is OperadTag.LM:
-        return is_left_modular(g)
-    if tag is OperadTag.RM:
-        return is_right_modular(g)
-    return True
-
-
 @dataclass(frozen=True)
 class GraphMorphism:
     source: Graph
@@ -168,18 +148,6 @@ class GraphMorphism:
 def identity_morphism(g: Graph) -> GraphMorphism:
     n = len(g.edges)
     return GraphMorphism(g, g, tuple(range(n)), tuple((i,) for i in range(n)))
-
-
-def morphism_from_fibers(source: Graph, target: Graph, fibers) -> GraphMorphism:
-    """Build a morphism from its fiber orders; unfibered edges are deleted."""
-    fibers = tuple(tuple(f) for f in fibers)
-    edge_map: list[int | None] = [None] * len(source.edges)
-    for i, fib in enumerate(fibers):
-        for e in fib:
-            if edge_map[e] is not None:
-                raise IndexOutOfRange(f"source edge {e} listed in two fibers")
-            edge_map[e] = i
-    return GraphMorphism(source, target, tuple(edge_map), fibers)
 
 
 def underlying_pointed(m: GraphMorphism) -> PointedMap:
@@ -485,7 +453,7 @@ def enumerate_graph_morphisms(
     ordering; each survivor passes validate_morphism.
     """
     n, m = len(src.edges), len(tgt.edges)
-    bound = edge_bound(max_total_edges)
+    bound = DEFAULT_EDGE_BOUND if max_total_edges is None else max_total_edges
     if n + m > bound:
         raise SizeBoundExceeded(f"{n}+{m} edges exceeds bound {bound}")
     if src.labels != tgt.labels:
@@ -585,23 +553,21 @@ def _check_inert_lifts(objects: list[Graph]) -> Check:
     return Check("inert-lifts", True, f"{len(objects)} objects")
 
 
-def _check_segal_objects(tag: OperadTag, labels: LabelSet, max_edges: int) -> Check:
-    alphabet = allowed_edges(tag, labels)
-    glabels = tag_labels(tag, labels)
+def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Check:
     for n in range(max_edges + 1):
-        fiber = [Graph(glabels, edges) for edges in itertools.product(alphabet, repeat=n)]
+        fiber = [g for g in objects if len(g.edges) == n]
         if len(fiber) != len(alphabet) ** n:
             return Check("segal-objects", False, f"fiber over <{n}> has {len(fiber)} objects")
         restrictions = set()
         for g in fiber:
             # restriction along each rho^i is the single-edge subgraph at i
-            restrictions.add(tuple(Graph(glabels, (g.edges[i],)) for i in range(n)))
+            restrictions.add(tuple(Graph(g.labels, (g.edges[i],)) for i in range(n)))
         if len(restrictions) != len(fiber):
             return Check("segal-objects", False, f"<{n}>: restrictions not injective")
     return Check("segal-objects", True, f"fibers match {len(alphabet)}^n for n<={max_edges}")
 
 
-def _single_edge_counts(src: Graph, alphabet, glabels) -> dict[tuple[str, str], dict[int, int]]:
+def _single_edge_counts(src: Graph, alphabet) -> dict[tuple[str, str], dict[int, int]]:
     """Morphism counts into each single-edge graph, grouped by kept-edge mask.
 
     Computed through the public enumerator so the whole-morphism validator
@@ -610,7 +576,7 @@ def _single_edge_counts(src: Graph, alphabet, glabels) -> dict[tuple[str, str], 
     n = len(src.edges)
     out: dict[tuple[str, str], dict[int, int]] = {}
     for ep in alphabet:
-        tgt = Graph(glabels, (ep,))
+        tgt = Graph(src.labels, (ep,))
         grouped: dict[int, int] = {}
         for m in enumerate_graph_morphisms(src, tgt, max_total_edges=n + 1):
             mask = 0
@@ -653,14 +619,11 @@ def _whole_morphism_counts(src_edges, tgt_edges) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def _check_segal_morphisms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Check:
-    alphabet = allowed_edges(tag, labels)
-    glabels = tag_labels(tag, labels)
-    objects = enumerate_objects(tag, labels, max_edges)
+def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     pairs_checked = 0
     for src in objects:
         n = len(src.edges)
-        per_edge = _single_edge_counts(src, alphabet, glabels)
+        per_edge = _single_edge_counts(src, alphabet)
         for tgt in objects:
             m = len(tgt.edges)
             whole = _whole_morphism_counts(src.edges, tgt.edges)
@@ -695,10 +658,11 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
     """
     if max_edges < 0:
         raise InvalidBound(f"max_edges must be at least 0, got {max_edges}")
+    alphabet = allowed_edges(tag, labels)
     objects = enumerate_objects(tag, labels, max_edges)
     checks = (
         _check_inert_lifts(objects),
-        _check_segal_objects(tag, labels, max_edges),
-        _check_segal_morphisms(tag, labels, max_edges),
+        _check_segal_objects(objects, alphabet, max_edges),
+        _check_segal_morphisms(objects, alphabet),
     )
     return ValidationReport(checks)

@@ -96,15 +96,6 @@ def morphism_from_dict(data: dict, where: str = "morphism") -> GraphMorphism:
     return m
 
 
-def morphism_to_dict(m: GraphMorphism) -> dict:
-    return {
-        "source": graph_to_dict(m.source),
-        "target": graph_to_dict(m.target),
-        "edge_map": [0 if v is None else v + 1 for v in m.edge_map],
-        "fibers": {str(i + 1): [e + 1 for e in fib] for i, fib in enumerate(m.fibers) if fib},
-    }
-
-
 def load_morphism(path: str | Path) -> GraphMorphism:
     return morphism_from_dict(_read(Path(path)), str(path))
 

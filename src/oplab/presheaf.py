@@ -23,7 +23,7 @@ from .quantale import (
     module_meet,
     transpose_module,
 )
-from .report import Check, ValidationReport
+from .report import Check, ValidationReport, failing, passing
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,11 @@ def _require_same_home(f, g):
 
 
 def yoneda_check(c: EnrichedCategory, x: str, m_elt: int, f: Presheaf) -> tuple[bool, bool]:
-    """Both sides of the representability biconditional, asserted equal:
-    the free presheaf at (x, m) sits below f iff m sits below f(x)."""
+    """Both sides of the representability biconditional: whether the free
+    presheaf at (x, m) sits below f, and whether m sits below f(x).
+    `check_representability` reports where they differ."""
     free = free_presheaf(c, x, m_elt, f.module)
-    lhs = leq_presheaves(free, f)
-    rhs = f.module.le(m_elt, ev(f, x))
-    assert lhs == rhs, f"representability failed at ({x}, {m_elt}): {lhs} vs {rhs}"
-    return lhs, rhs
+    return leq_presheaves(free, f), f.module.le(m_elt, ev(f, x))
 
 
 def tensor_action(f: Presheaf, a: int) -> Presheaf:
@@ -181,17 +179,12 @@ def meet_presheaves(
 
 
 def density_decompose(f: Presheaf) -> list[Presheaf]:
-    """Components of f as a join of free presheaves, one per object.
-
-    The identity f = join of the components is asserted; a failure would
-    be an engine bug, not a property of the input.
-    """
+    """Components of f as a join of free presheaves, one per object;
+    `check_density` confirms that they join back to f."""
     if not f.is_self:
         raise BaseMismatch("density is stated for self-valued presheaves")
     c = f.category
-    parts = [free_presheaf(c, x, f.values[i]) for i, x in enumerate(c.objects.labels)]
-    assert join_presheaves(parts, c, f.module) == f, "density identity failed"
-    return parts
+    return [free_presheaf(c, x, f.values[i]) for i, x in enumerate(c.objects.labels)]
 
 
 def pullback(phi: EnrichedFunctor, g: Presheaf) -> Presheaf:
@@ -521,3 +514,87 @@ def check_duality_bijection(
             break
     checks.append(Check("modulemap-roundtrip", ok, witness or f"{len(maps)} round trips"))
     return ValidationReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# The presheaf suites behind the CLI verbs and the acceptance criteria.
+
+
+def check_representability(c: EnrichedCategory, module: ModuleLattice | None = None) -> ValidationReport:
+    """The Yoneda biconditional at every (object, element, presheaf)."""
+    module = module if module is not None else left_self_module(c.base)
+    count = 0
+    for f in enumerate_presheaves(c, module):
+        for x in c.objects.labels:
+            for m_elt in range(module.size()):
+                lhs, rhs = yoneda_check(c, x, m_elt, f)
+                if lhs != rhs:
+                    witness = f"presheaf {f.values} at ({x}, {m_elt}): {lhs} vs {rhs}"
+                    return failing("representability", witness)
+                count += 1
+    return passing("representability", f"{count} (object, element, presheaf) triples")
+
+
+def check_density(c: EnrichedCategory) -> ValidationReport:
+    """Every self-valued presheaf is the join of its density components."""
+    presheaves = enumerate_presheaves(c)
+    for f in presheaves:
+        joined = join_presheaves(density_decompose(f), c, f.module)
+        if joined != f:
+            return failing("density", f"presheaf {f.values} recovered as {joined.values}")
+    return passing("density", f"{len(presheaves)} presheaves decomposed")
+
+
+def check_pointwise_limits(c: EnrichedCategory) -> ValidationReport:
+    """Joins and meets of every family of self-valued presheaves validate
+    and are computed pointwise. More than 16 presheaves are refused before
+    any family is formed."""
+    presheaves = enumerate_presheaves(c)
+    if len(presheaves) > 16:
+        raise SizeBoundExceeded(f"{2 ** len(presheaves)} families exceed the family bound")
+    module = left_self_module(c.base)
+
+    def fails(family, what: str) -> ValidationReport:
+        return failing("pointwise-limits", f"family {tuple(f.values for f in family)}: {what}")
+
+    families = 0
+    for r in range(len(presheaves) + 1):
+        for family in itertools.combinations(presheaves, r):
+            j = join_presheaves(family, c, module)
+            m = meet_presheaves(family, c, module)
+            if not validate_presheaf(j).ok or not validate_presheaf(m).ok:
+                return fails(family, "join or meet fails to validate")
+            for x in c.objects.labels:
+                values = tuple(ev(f, x) for f in family)
+                if ev(j, x) != module_join(module, values):
+                    return fails(family, f"join not pointwise at {x}")
+                if ev(m, x) != module_meet(module, values):
+                    return fails(family, f"meet not pointwise at {x}")
+            families += 1
+    return passing("pointwise-limits", f"{families} families")
+
+
+def check_pushforward(phi: EnrichedFunctor) -> ValidationReport:
+    """Extension along an enriched functor: each image validates, is left
+    adjoint to pullback, commutes with the tensor action, and free
+    presheaves go to free presheaves. A non-functor raises."""
+    is_enriched_functor(phi).require("pushforward")
+    c, d = phi.source, phi.target
+    q = c.base
+    fs = enumerate_presheaves(c)
+    gs = enumerate_presheaves(d)
+    for f in fs:
+        pf = pushforward(phi, f)
+        if not validate_presheaf(pf).ok:
+            return failing("pushforward", f"image of {f.values} invalid")
+        for g in gs:
+            if leq_presheaves(pf, g) != leq_presheaves(f, pullback(phi, g)):
+                return failing("pushforward", f"adjunction fails at {f.values}, {g.values}")
+        for a in range(q.size()):
+            if pushforward(phi, tensor_action(f, a)) != tensor_action(pf, a):
+                return failing("pushforward", f"not equivariant at {f.values}, {q.elements[a]}")
+    for x in c.objects.labels:
+        for a in range(q.size()):
+            if pushforward(phi, free_presheaf(c, x, a)) != free_presheaf(d, x, a):
+                return failing("pushforward", f"free presheaf at ({x},{q.elements[a]}) not preserved")
+    return passing("pushforward", f"{len(fs)} presheaves against {len(gs)}")

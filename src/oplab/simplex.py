@@ -24,10 +24,12 @@ from .graphs import (
     GraphMorphism,
     LabelSet,
     MapClass,
+    OperadTag,
     STAR,
     classify_graph_morphism,
     compose_graph_morphisms,
     enumerate_graph_morphisms,
+    enumerate_objects,
     path_graph,
     validate_morphism,
 )
@@ -424,12 +426,7 @@ def check_approximation(labels: LabelSet, max_dim: int) -> ValidationReport:
     if max_dim < 0:
         raise InvalidBound(f"max_dim must be at least 0, got {max_dim}")
     simplices = enumerate_simplices(labels, max_dim + 1)
-    pool = []
-    max_edges = max_dim
-    alphabet = [(a, b) for a in labels.labels for b in labels.labels]
-    for n in range(max_edges + 1):
-        for edges in itertools.product(alphabet, repeat=n):
-            pool.append(Graph(labels, edges))
+    pool = enumerate_objects(OperadTag.ASSOC, labels, max_dim)
     checks = (
         _check_inert_chain_lifts(simplices),
         _check_cartesian_lifts(labels, simplices, pool),

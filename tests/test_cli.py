@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,7 +105,6 @@ def test_deterministic_output_is_byte_stable(capsys):
         "yoneda",
         "--category",
         str(FIXTURES / "preorder.json"),
-        "--exhaustive",
     ]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
@@ -182,3 +184,37 @@ def test_negative_bounds_exit_two():
         assert code == 2, (argv, report)
         assert report.status == "error"
         assert report.checks[0].witness.startswith("InvalidBound: ")
+
+
+# Each verb's seeded defect: free presheaves collapse to bottom (yoneda), or
+# joins keep only their first argument (density).
+_SEEDED_UNDER_OPTIMIZE = """
+import sys
+from oplab import cli, presheaf
+if not sys.flags.optimize:
+    sys.exit(3)
+join = presheaf.join_presheaves
+if sys.argv[1] == "yoneda":
+    presheaf.free_presheaf = lambda c, x, m_elt, module=None: join([], c, module)
+else:
+    presheaf.join_presheaves = lambda fs, c=None, module=None: join(list(fs)[:1], c, module)
+sys.exit(cli.main([sys.argv[1], "--category", sys.argv[2]]))
+"""
+
+
+def test_seeded_defects_fail_under_python_optimize():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for verb, line in [
+        ("yoneda", "FAIL representability -- presheaf (0, 0) at (x, 1): True vs False"),
+        ("density", "FAIL density -- presheaf (1, 1) recovered as (1, 0)"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _SEEDED_UNDER_OPTIMIZE, verb, str(FIXTURES / "preorder.json")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1, (verb, proc.stdout, proc.stderr)
+        assert line in proc.stdout.splitlines(), proc.stdout

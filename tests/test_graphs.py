@@ -463,18 +463,10 @@ def test_enumerate_deterministic_and_bounded():
         enumerate_graph_morphisms(
             Graph(S, (("a", "b"),) * 4), Graph(S, (("a", "b"),) * 3)
         )
-    # explicit bound and env override both lift the limit
+    # an explicit bound lifts the limit
     assert enumerate_graph_morphisms(
         Graph(S, (("a", "a"),) * 4), Graph(S, (("a", "a"),) * 3), max_total_edges=7
     )
-
-
-def test_enum_bound_env_override(monkeypatch):
-    monkeypatch.setenv("OPLAB_MAX_ENUM", "3")
-    with pytest.raises(SizeBoundExceeded):
-        enumerate_graph_morphisms(
-            Graph(S, (("a", "b"), ("b", "a"))), Graph(S, (("a", "a"), ("a", "b")))
-        )
 
 
 # --- operad axioms ---------------------------------------------------------

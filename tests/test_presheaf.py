@@ -9,13 +9,17 @@ from oplab.enriched import (
     enumerate_categories,
     trivial_category,
 )
-from oplab.errors import BaseMismatch, SizeBoundExceeded
+from oplab.errors import BaseMismatch, SizeBoundExceeded, ValidationError
 from oplab.graphs import labelset
 from oplab.presheaf import (
     Copresheaf,
     ModuleMap,
     Presheaf,
+    check_density,
     check_duality_bijection,
+    check_pointwise_limits,
+    check_pushforward,
+    check_representability,
     density_decompose,
     duality_to_copresheaf,
     duality_to_modulemap,
@@ -54,12 +58,14 @@ from oplab.quantale import (
     trivial_quantale,
     validate_module,
 )
+from oplab.report import Check
 
 S = labelset("x", "y")
 BOOL = boolean_quantale()
 LUK3 = lukasiewicz(3)
 PREORDER = EnrichedCategory(BOOL, S, ((1, 1), (0, 1)))
 METRIC = EnrichedCategory(LUK3, S, ((3, 1), (2, 3)))
+CODISCRETE = EnrichedCategory(BOOL, S, ((1, 1), (1, 1)))
 BOOL_CATS = enumerate_categories(BOOL, S)
 
 
@@ -146,7 +152,8 @@ def test_yoneda_exhaustive_boolean():
         for f in enumerate_presheaves(c):
             for x in S.labels:
                 for m_elt in range(2):
-                    yoneda_check(c, x, m_elt, f)
+                    lhs, rhs = yoneda_check(c, x, m_elt, f)
+                    assert lhs == rhs, (c.hom, f.values, x, m_elt)
 
 
 def test_yoneda_with_general_module():
@@ -155,7 +162,9 @@ def test_yoneda_with_general_module():
         for f in enumerate_presheaves(c, module):
             for x in S.labels:
                 for m_elt in range(module.size()):
-                    yoneda_check(c, x, m_elt, f)
+                    lhs, rhs = yoneda_check(c, x, m_elt, f)
+                    assert lhs == rhs, (c.hom, f.values, x, m_elt)
+        assert check_representability(c, module).ok
 
 
 def test_tensor_action_laws():
@@ -470,3 +479,52 @@ def test_self_valued_operations_reject_other_modules():
         tensor_action(f, 1)
     with pytest.raises(BaseMismatch):
         density_decompose(f)
+
+
+def _bottom(c, module):
+    return presheaf.join_presheaves([], c, module)
+
+
+def _keep_first(join):
+    def patched(fs, category=None, module=None):
+        return join(list(fs)[:1], category, module)
+
+    return patched
+
+
+def test_representability_reports_seeded_defect(monkeypatch):
+    def bottom_free(c, x, m_elt, module=None):
+        return _bottom(c, module if module is not None else left_self_module(c.base))
+
+    monkeypatch.setattr(presheaf, "free_presheaf", bottom_free)
+    assert check_representability(PREORDER).checks == (
+        Check("representability", False, "presheaf (0, 0) at (x, 1): True vs False"),
+    )
+
+
+def test_density_reports_seeded_defect(monkeypatch):
+    monkeypatch.setattr(presheaf, "join_presheaves", _keep_first(presheaf.join_presheaves))
+    assert check_density(PREORDER).checks == (
+        Check("density", False, "presheaf (1, 1) recovered as (1, 0)"),
+    )
+
+
+def test_pointwise_limits_reports_seeded_defect(monkeypatch):
+    monkeypatch.setattr(presheaf, "join_presheaves", _keep_first(presheaf.join_presheaves))
+    assert check_pointwise_limits(PREORDER).checks == (
+        Check("pointwise-limits", False, "family ((0, 0), (1, 0)): join not pointwise at x"),
+    )
+
+
+def test_pushforward_reports_seeded_defect(monkeypatch):
+    monkeypatch.setattr(presheaf, "pushforward", lambda phi, f: _bottom(phi.target, f.module))
+    assert check_pushforward(EnrichedFunctor(PREORDER, CODISCRETE)).checks == (
+        Check("pushforward", False, "adjunction fails at (1, 0), (0, 0)"),
+    )
+
+
+def test_suite_refusals_still_raise():
+    with pytest.raises(SizeBoundExceeded):
+        check_pointwise_limits(_discrete(LUK3, 3))
+    with pytest.raises(ValidationError):
+        check_pushforward(EnrichedFunctor(CODISCRETE, PREORDER))
