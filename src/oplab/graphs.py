@@ -8,6 +8,7 @@ same edge map but different fiber orders are different morphisms.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -435,13 +436,75 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration.
+# Enumeration.
 
 
-def _order_candidates(fiber: tuple[int, ...]):
-    if not fiber:
-        return ((),)
-    return tuple(itertools.permutations(fiber))
+def _chain_pool(src_edges, s: str, t: str, pools: dict) -> dict[int, list[tuple[int, ...]]]:
+    """The orders of each subset of source edges that form a path from s to t.
+
+    Keys are bitmasks of source edges; each value lists, in lexicographic
+    order, the orders of that subset that _chain_ok accepts. Subsets without
+    such an order are absent. Memoized in the caller's dict by (source edges,
+    endpoints).
+    """
+    key = (src_edges, s, t)
+    pool = pools.get(key)
+    if pool is None:
+        n = len(src_edges)
+        pool = {}
+        for mask in range(1 << n):
+            fiber = tuple(e for e in range(n) if mask >> e & 1)
+            orders = [o for o in itertools.permutations(fiber) if _chain_ok(src_edges, o, s, t)]
+            if orders:
+                pool[mask] = orders
+        pools[key] = pool
+    return pool
+
+
+def _disjoint_picks(n: int, tables: list[dict]) -> list[tuple[tuple[int | None, ...], tuple]]:
+    """Every way to pick one mask from each table, the masks pairwise disjoint.
+
+    A depth-first search over the tables in order. Each pick is returned as
+    (edge_map, values): edge_map sends each of the n source edges to the
+    index of the table whose mask holds it, or to None; values are the
+    picked masks' entries, in table order.
+    """
+    out = []
+    images: list[int | None] = [None] * n
+    values: list = []
+
+    def search(i: int, used: int):
+        if i == len(tables):
+            out.append((tuple(images), tuple(values)))
+            return
+        for mask, value in tables[i].items():
+            if not mask & used:
+                bits = [e for e in range(n) if mask >> e & 1]
+                for e in bits:
+                    images[e] = i
+                values.append(value)
+                search(i + 1, used | mask)
+                values.pop()
+                for e in bits:
+                    images[e] = None
+
+    search(0, 0)
+    return out
+
+
+def _morphism_candidates(src_edges, tgt_edges, pools: dict):
+    """Yield every (edge_map, fibers) whose fibers are disjoint paths.
+
+    Each target edge picks a mask of source edges from its chain pool, the
+    masks pairwise disjoint; the source edges no mask holds are deleted.
+    Each pick yields every combination of its path orders. The candidates
+    are exactly the morphisms whose every fiber passes _chain_ok; callers
+    validate them whole.
+    """
+    tables = [_chain_pool(src_edges, s, t, pools) for s, t in tgt_edges]
+    for edge_map, orders in _disjoint_picks(len(src_edges), tables):
+        for fibers in itertools.product(*orders):
+            yield edge_map, fibers
 
 
 def enumerate_graph_morphisms(
@@ -449,8 +512,8 @@ def enumerate_graph_morphisms(
 ) -> list[GraphMorphism]:
     """All valid morphisms src -> tgt, in a fixed deterministic order.
 
-    Candidates are every edge assignment combined with every fiber
-    ordering; each survivor passes validate_morphism.
+    Candidates come from the chain-pool search of _morphism_candidates;
+    each one must pass validate_morphism.
     """
     n, m = len(src.edges), len(tgt.edges)
     bound = DEFAULT_EDGE_BOUND if max_total_edges is None else max_total_edges
@@ -459,29 +522,12 @@ def enumerate_graph_morphisms(
     if src.labels != tgt.labels:
         raise LabelSetMismatch(f"{src.labels} vs {tgt.labels}")
     out = []
-    choices = (None,) + tuple(range(m))
-    for assignment in itertools.product(choices, repeat=n):
-        fibersets: list[list[int]] = [[] for _ in range(m)]
-        for e, v in enumerate(assignment):
-            if v is not None:
-                fibersets[v].append(e)
-        pools = []
-        ok = True
-        for i, fib in enumerate(fibersets):
-            s, t = tgt.edges[i]
-            orders = [o for o in _order_candidates(tuple(fib)) if _chain_ok(src.edges, o, s, t)]
-            if not orders:
-                ok = False
-                break
-            pools.append(orders)
-        if not ok:
-            continue
-        for combo in itertools.product(*pools):
-            cand = GraphMorphism(src, tgt, assignment, combo)
-            rep = validate_morphism(cand)
-            if not rep.ok:
-                raise AssertionError(f"enumerator produced invalid morphism: {rep.first_failure()}")
-            out.append(cand)
+    for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, {}):
+        cand = GraphMorphism(src, tgt, edge_map, fibers)
+        rep = validate_morphism(cand)
+        if not rep.ok:
+            raise AssertionError(f"enumerator produced invalid morphism: {rep.first_failure()}")
+        out.append(cand)
     out.sort(key=_morphism_sort_key)
     return out
 
@@ -523,33 +569,31 @@ def enumerate_objects(tag: OperadTag, labels: LabelSet, max_edges: int) -> list[
 # Operad axiom checking.
 
 
-def _inert_base_maps(n: int):
-    """All inert pointed maps out of <n>, as (m, preimage-sequence)."""
-    for m in range(n + 1):
-        for seq in itertools.permutations(range(n), m):
-            yield m, seq
-
-
 def _check_inert_lifts(objects: list[Graph]) -> Check:
+    """Every inert base map out of <n> has exactly one lift, and it is inert.
+
+    The lifts are those of enumerate_inert_from. Distinct inert maps out of
+    <n> number sum_m n!/(n-m)!, so distinct underlying maps in that number
+    cover each exactly once.
+    """
     for g in objects:
         n = len(g.edges)
-        for m, seq in _inert_base_maps(n):
-            target = Graph(g.labels, tuple(g.edges[e] for e in seq))
-            pos = {e: j for j, e in enumerate(seq)}
-            lift = GraphMorphism(
-                g,
-                target,
-                tuple(pos.get(e) for e in range(n)),
-                tuple((e,) for e in seq),
-            )
+        bases: set[PointedMap] = set()
+        for lift in enumerate_inert_from(g):
             rep = validate_morphism(lift)
             if not rep.ok:
-                return Check("inert-lifts", False, f"{g.edges} over {seq}: {rep.first_failure()}")
+                witness = f"{g.edges} -> {lift.target.edges}: {rep.first_failure()}"
+                return Check("inert-lifts", False, witness)
             if classify_graph_morphism(lift) not in (MapClass.INERT, MapClass.BOTH):
-                return Check("inert-lifts", False, f"lift of {seq} at {g.edges} is not inert")
-            want = tuple(pos[e] + 1 if e in pos else 0 for e in range(n))
-            if underlying_pointed(lift).images != want:
-                return Check("inert-lifts", False, f"lift of {seq} at {g.edges} lies over the wrong base")
+                return Check("inert-lifts", False, f"lift {lift.edge_map} at {g.edges} is not inert")
+            base = underlying_pointed(lift)
+            if base in bases:
+                return Check("inert-lifts", False, f"two lifts over {base.images} at {g.edges}")
+            bases.add(base)
+        want = sum(math.perm(n, m) for m in range(n + 1))
+        if len(bases) != want:
+            witness = f"{g.edges}: lifts cover {len(bases)} of {want} inert base maps"
+            return Check("inert-lifts", False, witness)
     return Check("inert-lifts", True, f"{len(objects)} objects")
 
 
@@ -588,62 +632,45 @@ def _single_edge_counts(src: Graph, alphabet) -> dict[tuple[str, str], dict[int,
     return out
 
 
-def _whole_morphism_counts(src_edges, tgt_edges) -> dict[tuple[int, ...], int]:
-    """Counts of valid morphisms grouped by base map, enumerated whole.
-
-    Base maps are tuples over source edges with 0 for deletion and i for
-    target edge i-1. Every candidate (assignment plus fiber orders) is
-    checked as one morphism, so any cross-fiber interaction would surface.
-    """
-    n, m = len(src_edges), len(tgt_edges)
-    counts: dict[tuple[int, ...], int] = {}
-    perms = itertools.permutations
-    chain_ok = _chain_ok
-    for assignment in itertools.product(range(m + 1), repeat=n):
-        fibersets: list[list[int]] = [[] for _ in range(m)]
-        for e, v in enumerate(assignment):
-            if v:
-                fibersets[v - 1].append(e)
-        total = 0
-        for combo in itertools.product(*(perms(f) if f else ((),) for f in fibersets)):
-            ok = True
-            for i in range(m):
-                s, t = tgt_edges[i]
-                if not chain_ok(src_edges, combo[i], s, t):
-                    ok = False
-                    break
-            if ok:
-                total += 1
-        if total:
-            counts[assignment] = total
-    return counts
+def _base_map(edge_map) -> tuple[int, ...]:
+    """The underlying pointed images: 0 for deletion, i for target edge i-1."""
+    return tuple(0 if v is None else v + 1 for v in edge_map)
 
 
 def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
+    """Whole-morphism counts equal products of single-edge counts per base map.
+
+    The whole side counts the candidates of _morphism_candidates that
+    validate_morphism accepts as whole morphisms, so a cross-fiber condition
+    surfaces here. The product side picks disjoint masks among the nonzero
+    single-edge counts. A mismatch is reported at the least base map in
+    lexicographic order.
+    """
+    pools: dict = {}
     pairs_checked = 0
     for src in objects:
-        n = len(src.edges)
         per_edge = _single_edge_counts(src, alphabet)
         for tgt in objects:
-            m = len(tgt.edges)
-            whole = _whole_morphism_counts(src.edges, tgt.edges)
-            for assignment in itertools.product(range(m + 1), repeat=n):
-                masks = [0] * m
-                for e, v in enumerate(assignment):
-                    if v:
-                        masks[v - 1] |= 1 << e
-                product = 1
-                for i in range(m):
-                    product *= per_edge[tgt.edges[i]].get(masks[i], 0)
-                    if not product:
-                        break
-                if whole.get(assignment, 0) != product:
-                    return Check(
-                        "segal-morphisms",
-                        False,
-                        f"{src.edges} -> {tgt.edges} over {assignment}: "
-                        f"{whole.get(assignment, 0)} whole vs product {product}",
-                    )
+            whole: dict[tuple[int | None, ...], int] = {}
+            for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, pools):
+                if validate_morphism(GraphMorphism(src, tgt, edge_map, fibers)).ok:
+                    whole[edge_map] = whole.get(edge_map, 0) + 1
+            factors = [per_edge[ep] for ep in tgt.edges]
+            product = {
+                edge_map: math.prod(counts)
+                for edge_map, counts in _disjoint_picks(len(src.edges), factors)
+            }
+            if whole != product:
+                edge_map = min(
+                    (k for k in whole.keys() | product.keys() if whole.get(k, 0) != product.get(k, 0)),
+                    key=_base_map,
+                )
+                return Check(
+                    "segal-morphisms",
+                    False,
+                    f"{src.edges} -> {tgt.edges} over {_base_map(edge_map)}: "
+                    f"{whole.get(edge_map, 0)} whole vs product {product.get(edge_map, 0)}",
+                )
             pairs_checked += 1
     return Check("segal-morphisms", True, f"{pairs_checked} source/target pairs")
 
@@ -653,8 +680,8 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
 
     (1) every inert base map admits an inert lift at every object;
     (2) the fiber over <n> bijects with n-tuples of single-edge objects;
-    (3) morphism counts over a fixed base map factor as the product of the
-        counts into each single-edge restriction of the target.
+    (3) counts of validated whole morphisms over a fixed base map equal the
+        product of the counts into each single-edge restriction of the target.
     """
     if max_edges < 0:
         raise InvalidBound(f"max_edges must be at least 0, got {max_edges}")

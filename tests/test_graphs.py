@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oplab import graphs
 from oplab.errors import (
     InvalidLabels,
     LabelSetMismatch,
@@ -19,6 +20,7 @@ from oplab.graphs import (
     OperadTag,
     STAR,
     add_loop,
+    allowed_edges,
     check_operad_axioms,
     classify_graph_morphism,
     codiagonal,
@@ -50,6 +52,7 @@ from oplab.graphs import (
     underlying_pointed,
     validate_morphism,
 )
+from oplab.report import Check, failing
 
 S = labelset("a", "b")
 SP = labelset("a", "b", pointed=True)
@@ -498,3 +501,140 @@ def test_modular_tags_constrain_objects():
     assert len([g for g in lm if g.edges]) == 6
     rm = enumerate_objects(OperadTag.RM, S, 1)
     assert all(is_right_modular(g) for g in rm)
+
+
+def test_inert_lifts_reports_seeded_defect(monkeypatch):
+    # enumerate_inert_from drops its last lift, so some inert base map has none
+    original = graphs.enumerate_inert_from
+    monkeypatch.setattr(graphs, "enumerate_inert_from", lambda g: original(g)[:-1])
+    rep = check_operad_axioms(OperadTag.ASSOC, labelset("a"), 2)
+    assert rep.checks[0] == Check("inert-lifts", False, "(): lifts cover 0 of 1 inert base maps")
+
+
+def _cross_fiber_defect(validate):
+    """validate_morphism that also rejects a contraction next to a nonempty fiber.
+
+    It changes real morphism sets only at three or more source edges: a
+    fiber of at least two edges whose neighbouring target edge (i-1 or i+1)
+    has a nonempty fiber is rejected. Single-edge targets are unaffected.
+    """
+
+    def defective(m):
+        rep = validate(m)
+        if rep.ok:
+            for i, fib in enumerate(m.fibers):
+                near = [m.fibers[j] for j in (i - 1, i + 1) if 0 <= j < len(m.fibers)]
+                if len(fib) >= 2 and any(near):
+                    return failing("condition-two", f"seeded defect at target edge {i}")
+        return rep
+
+    return defective
+
+
+def test_operad_reports_seeded_defect(monkeypatch):
+    monkeypatch.setattr(graphs, "validate_morphism", _cross_fiber_defect(graphs.validate_morphism))
+    rep = check_operad_axioms(OperadTag.ASSOC, labelset("a"), 3)
+    assert rep.first_failure() == Check(
+        "segal-morphisms",
+        False,
+        "(('a', 'a'), ('a', 'a'), ('a', 'a')) -> (('a', 'a'), ('a', 'a')) over (1, 1, 2): "
+        "0 whole vs product 2",
+    )
+
+
+# --- reference implementations ----------------------------------------------
+# The product loops that the chain-pool search replaced, kept to check it.
+
+
+def _reference_enumerate(src, tgt):
+    """Every edge assignment combined with every fiber ordering, validated."""
+    n, m = len(src.edges), len(tgt.edges)
+    out = []
+    for assignment in itertools.product((None,) + tuple(range(m)), repeat=n):
+        fibersets = [[] for _ in range(m)]
+        for e, v in enumerate(assignment):
+            if v is not None:
+                fibersets[v].append(e)
+        pools = [
+            [o for o in itertools.permutations(fib) if graphs._chain_ok(src.edges, o, *tgt.edges[i])]
+            for i, fib in enumerate(fibersets)
+        ]
+        for combo in itertools.product(*pools):
+            cand = GraphMorphism(src, tgt, assignment, combo)
+            assert validate_morphism(cand).ok
+            out.append(cand)
+    out.sort(key=graphs._morphism_sort_key)
+    return out
+
+
+def _reference_whole_counts(src_edges, tgt_edges):
+    """Counts grouped by base map, checking each fiber with _chain_ok only."""
+    n, m = len(src_edges), len(tgt_edges)
+    counts = {}
+    for assignment in itertools.product(range(m + 1), repeat=n):
+        fibersets = [[] for _ in range(m)]
+        for e, v in enumerate(assignment):
+            if v:
+                fibersets[v - 1].append(e)
+        total = 0
+        for combo in itertools.product(*(itertools.permutations(f) for f in fibersets)):
+            if all(graphs._chain_ok(src_edges, combo[i], *tgt_edges[i]) for i in range(m)):
+                total += 1
+        if total:
+            counts[assignment] = total
+    return counts
+
+
+def _reference_check_segal_morphisms(objects, alphabet):
+    """The (m+1)^n product loop over every base map of every pair."""
+    pairs_checked = 0
+    for src in objects:
+        n = len(src.edges)
+        per_edge = graphs._single_edge_counts(src, alphabet)
+        for tgt in objects:
+            m = len(tgt.edges)
+            whole = _reference_whole_counts(src.edges, tgt.edges)
+            for assignment in itertools.product(range(m + 1), repeat=n):
+                masks = [0] * m
+                for e, v in enumerate(assignment):
+                    if v:
+                        masks[v - 1] |= 1 << e
+                product = 1
+                for i in range(m):
+                    product *= per_edge[tgt.edges[i]].get(masks[i], 0)
+                if whole.get(assignment, 0) != product:
+                    return Check(
+                        "segal-morphisms",
+                        False,
+                        f"{src.edges} -> {tgt.edges} over {assignment}: "
+                        f"{whole.get(assignment, 0)} whole vs product {product}",
+                    )
+            pairs_checked += 1
+    return Check("segal-morphisms", True, f"{pairs_checked} source/target pairs")
+
+
+def _segal_inputs(tag, names, max_edges):
+    labels = labelset(*names)
+    return enumerate_objects(tag, labels, max_edges), allowed_edges(tag, labels)
+
+
+def test_segal_search_matches_reference(monkeypatch):
+    for tag in OperadTag:
+        for names, max_edges in ((("a",), 3), (("a", "b"), 2)):
+            objects, alphabet = _segal_inputs(tag, names, max_edges)
+            got = graphs._check_segal_morphisms(objects, alphabet)
+            assert got.ok, (tag, names, got)
+            assert got == _reference_check_segal_morphisms(objects, alphabet), (tag, names)
+    # the reference never validates a whole morphism, so it misses the defect
+    monkeypatch.setattr(graphs, "validate_morphism", _cross_fiber_defect(graphs.validate_morphism))
+    objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a",), 3)
+    assert _reference_check_segal_morphisms(objects, alphabet).ok
+    assert not graphs._check_segal_morphisms(objects, alphabet).ok
+
+
+def test_enumerate_matches_reference():
+    objects = enumerate_objects(OperadTag.ASSOC_POINTED, S, 2)
+    assert len(objects) == 91
+    for src in objects:
+        for tgt in objects:
+            assert enumerate_graph_morphisms(src, tgt) == _reference_enumerate(src, tgt), (src, tgt)
