@@ -70,9 +70,6 @@ class Graph:
             if not self.labels.has_vertex(s) or not self.labels.has_vertex(t):
                 raise InvalidLabels(f"edge ({s},{t}) uses vertices outside {self.labels}")
 
-    def n_edges(self) -> int:
-        return len(self.edges)
-
 
 def empty_graph(labels: LabelSet) -> Graph:
     return Graph(labels, ())

@@ -6,10 +6,8 @@ action, duality) is computed from that table and checked exhaustively.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from .enriched import EnrichedCategory, EnrichedFunctor, is_enriched_functor, opposite
 from .errors import BaseMismatch, SizeBoundExceeded, UnknownObject, ValidationError
@@ -23,7 +21,16 @@ from .quantale import (
     module_meet,
     transpose_module,
 )
-from .report import Check, ValidationReport, failing, passing
+from .report import Check, Law, ValidationReport, check_laws, failing, passing, search_tables
+
+
+def _require_home(category: EnrichedCategory, module: ModuleLattice, side: str) -> None:
+    """Refuse value tables in a module on the wrong side or over another quantale."""
+    if module.side != side:
+        kind = "presheaves" if side == LEFT else "copresheaves"
+        raise BaseMismatch(f"{kind} take values in a {side} module")
+    if module.base != category.base:
+        raise BaseMismatch("module and category live over different quantales")
 
 
 @dataclass(frozen=True)
@@ -34,10 +41,7 @@ class Presheaf:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if self.module.side != LEFT:
-            raise BaseMismatch("presheaves take values in a left module")
-        if self.module.base != self.category.base:
-            raise BaseMismatch("module and category live over different quantales")
+        _require_home(self.category, self.module, LEFT)
         if len(self.values) != len(self.category.objects.labels):
             raise UnknownObject("one value per object required")
 
@@ -54,31 +58,32 @@ class Copresheaf:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if self.module.side != RIGHT:
-            raise BaseMismatch("copresheaves take values in a right module")
-        if self.module.base != self.category.base:
-            raise BaseMismatch("module and category live over different quantales")
+        _require_home(self.category, self.module, RIGHT)
         if len(self.values) != len(self.category.objects.labels):
             raise UnknownObject("one value per object required")
 
 
+def presheaf_laws(c: EnrichedCategory, m: ModuleLattice) -> tuple[Law, ...]:
+    """The action law hom(X,Y).F(Y) <= F(X) at every pair of objects, in
+    validation order, over the table of values F(X) in object order."""
+    names = c.objects.labels
+    k = len(names)
+    le, act = m.le, m.act
+    return tuple(
+        Law(
+            "presheaf-action",
+            f"hom({names[i]},{names[j]}).F({names[j]}) > F({names[i]})",
+            max(i, j),
+            lambda t, a=c.hom[i][j], i=i, j=j: le(act(a, t[j]), t[i]),
+        )
+        for i in range(k)
+        for j in range(k)
+    )
+
+
 def validate_presheaf(f: Presheaf) -> ValidationReport:
     """Exhaustive action law: hom(X,Y).F(Y) <= F(X)."""
-    c, m = f.category, f.module
-    names = c.objects.labels
-    for i in range(len(names)):
-        for j in range(len(names)):
-            if not m.le(m.act(c.hom[i][j], f.values[j]), f.values[i]):
-                return ValidationReport(
-                    (
-                        Check(
-                            "presheaf-action",
-                            False,
-                            f"hom({names[i]},{names[j]}).F({names[j]}) > F({names[i]})",
-                        ),
-                    )
-                )
-    return ValidationReport((Check("presheaf-action", True, None),))
+    return check_laws(presheaf_laws(f.category, f.module), f.values, "presheaf-action")
 
 
 def transported_presheaf(g: Copresheaf) -> Presheaf:
@@ -214,21 +219,12 @@ def pushforward(phi: EnrichedFunctor, f: Presheaf) -> Presheaf:
 # The lattice of all presheaves, its right action, and duality.
 
 
-def enumerate_presheaves(
-    c: EnrichedCategory, module: ModuleLattice | None = None, cap: int = 100_000
-) -> list[Presheaf]:
+def enumerate_presheaves(c: EnrichedCategory, module: ModuleLattice | None = None) -> list[Presheaf]:
     """All valid value tables over the module, in table order."""
     module = module if module is not None else left_self_module(c.base)
-    k = len(c.objects.labels)
-    total = module.size() ** k
-    if total > cap:
-        raise SizeBoundExceeded(f"{total} candidate tables exceed cap {cap}")
-    out = []
-    for values in itertools.product(range(module.size()), repeat=k):
-        f = Presheaf(c, module, values)
-        if validate_presheaf(f).ok:
-            out.append(f)
-    return out
+    _require_home(c, module, LEFT)
+    tables = search_tables(len(c.objects.labels), module.size(), presheaf_laws(c, module))
+    return [Presheaf(c, module, t) for t in tables]
 
 
 class PresheafLattice:
@@ -238,9 +234,9 @@ class PresheafLattice:
     action, and joins are pointwise.
     """
 
-    def __init__(self, category: EnrichedCategory, cap: int = 100_000):
+    def __init__(self, category: EnrichedCategory):
         self.category = category
-        self.presheaves = tuple(enumerate_presheaves(category, None, cap))
+        self.presheaves = tuple(enumerate_presheaves(category))
         self._index = {f.values: i for i, f in enumerate(self.presheaves)}
         q = category.base
         names = tuple(
@@ -264,7 +260,7 @@ class PresheafLattice:
             for i in range(n)
         )
         self.bottom_index = self.index_of(join_presheaves([], category, left_self_module(q)))
-        self._laws: dict[ModuleLattice, tuple[ModuleMapLaw, ...]] = {}
+        self._laws: dict[ModuleLattice, tuple[Law, ...]] = {}
 
     def index_of(self, f: Presheaf) -> int:
         try:
@@ -276,8 +272,8 @@ class PresheafLattice:
         return len(self.presheaves)
 
 
-def presheaf_lattice(c: EnrichedCategory, cap: int = 100_000) -> PresheafLattice:
-    return PresheafLattice(c, cap)
+def presheaf_lattice(c: EnrichedCategory) -> PresheafLattice:
+    return PresheafLattice(c)
 
 
 def yoneda_copresheaf(c: EnrichedCategory, lattice: PresheafLattice | None = None) -> Copresheaf:
@@ -316,25 +312,7 @@ class ModuleMap:
         return hash((id(self.lattice), self.target, self.table))
 
 
-class ModuleMapLaw(NamedTuple):
-    """One law of a module map: table[out] == rule(*table[inputs])."""
-
-    check: str
-    witness: str
-    out: int
-    inputs: tuple[int, ...]
-    rule: Callable[..., int]
-
-    @property
-    def last(self) -> int:
-        """The highest table position the law reads."""
-        return max((self.out,) + self.inputs)
-
-    def holds(self, table) -> bool:
-        return table[self.out] == self.rule(*(table[i] for i in self.inputs))
-
-
-def modulemap_laws(lattice: PresheafLattice, n: ModuleLattice) -> tuple[ModuleMapLaw, ...]:
+def modulemap_laws(lattice: PresheafLattice, n: ModuleLattice) -> tuple[Law, ...]:
     """Every law of a module map from the lattice into n, in validation
     order; built once per lattice and target."""
     cached = lattice._laws.get(n)
@@ -344,25 +322,28 @@ def modulemap_laws(lattice: PresheafLattice, n: ModuleLattice) -> tuple[ModuleMa
     size = lattice.size()
     bottom = module_bottom(n)
     joins = tuple(tuple(module_join(n, (x, y)) for y in range(n.size())) for x in range(n.size()))
-
-    def join(x: int, y: int) -> int:
-        return joins[x][y]
-
-    laws = [ModuleMapLaw("join-preservation", "empty join", lattice.bottom_index, (), lambda: bottom)]
+    b = lattice.bottom_index
+    laws = [Law("join-preservation", "empty join", b, lambda t: t[b] == bottom)]
     for i in range(size):
         for j in range(i, size):
+            o = lattice.join_table[i][j]
             laws.append(
-                ModuleMapLaw("join-preservation", f"pair ({i},{j})", lattice.join_table[i][j], (i, j), join)
+                Law(
+                    "join-preservation",
+                    f"pair ({i},{j})",
+                    max(o, j),
+                    lambda t, o=o, i=i, j=j: t[o] == joins[t[i]][t[j]],
+                )
             )
     for i in range(size):
         for a in range(q.size()):
+            o = lattice.module.act(a, i)
             laws.append(
-                ModuleMapLaw(
+                Law(
                     "equivariance",
                     f"presheaf {i}, scalar {q.elements[a]}",
-                    lattice.module.act(a, i),
-                    (i,),
-                    functools.partial(n.act, a),
+                    max(o, i),
+                    lambda t, o=o, i=i, a=a: t[o] == n.act(a, t[i]),
                 )
             )
     lattice._laws[n] = laws = tuple(laws)
@@ -370,17 +351,9 @@ def modulemap_laws(lattice: PresheafLattice, n: ModuleLattice) -> tuple[ModuleMa
 
 
 def validate_modulemap(phi: ModuleMap) -> ValidationReport:
-    """Empty and binary join preservation plus right equivariance.
-
-    This owns the law list: `modulemap_laws` is the only definition of
-    the laws, listed in the order checked here, and the first law that
-    fails is reported with its witness. `enumerate_modulemaps` prunes its
-    search with the same list.
-    """
-    for law in modulemap_laws(phi.lattice, phi.target):
-        if not law.holds(phi.table):
-            return ValidationReport((Check(law.check, False, law.witness),))
-    return ValidationReport((Check("module-map", True, None),))
+    """Empty and binary join preservation plus right equivariance, as listed
+    by `modulemap_laws`; `enumerate_modulemaps` searches under the same list."""
+    return check_laws(modulemap_laws(phi.lattice, phi.target), phi.table, "module-map")
 
 
 def duality_to_copresheaf(phi: ModuleMap) -> Copresheaf:
@@ -414,62 +387,21 @@ def duality_to_modulemap(g: Copresheaf, lattice: PresheafLattice) -> ModuleMap:
     return out
 
 
-def enumerate_copresheaves(
-    c: EnrichedCategory, n: ModuleLattice, cap: int = 100_000
-) -> list[Copresheaf]:
-    k = len(c.objects.labels)
-    total = n.size() ** k
-    if total > cap:
-        raise SizeBoundExceeded(f"{total} candidate tables exceed cap {cap}")
-    out = []
-    for values in itertools.product(range(n.size()), repeat=k):
-        g = Copresheaf(c, n, values)
-        if validate_copresheaf(g).ok:
-            out.append(g)
-    return out
+def enumerate_copresheaves(c: EnrichedCategory, n: ModuleLattice) -> list[Copresheaf]:
+    """All valid value tables over the right module n, in table order; the
+    laws are those of the transported presheaf."""
+    _require_home(c, n, RIGHT)
+    laws = presheaf_laws(opposite(c), transpose_module(n))
+    return [Copresheaf(c, n, t) for t in search_tables(len(c.objects.labels), n.size(), laws)]
 
 
-def enumerate_modulemaps(
-    lattice: PresheafLattice, n: ModuleLattice, cap: int = 1_000_000
-) -> list[ModuleMap]:
-    """All module maps from the lattice into n, in table order.
-
-    A depth-first search assigns table positions 0, 1, 2, ... in turn,
-    trying the values of n in order, so it visits tables in the order of
-    `itertools.product`. After assigning a position it tests every law of
-    `modulemap_laws` whose highest position that is, and abandons the
-    partial table on the first violation. Each complete table is
-    validated whole before it is returned. `cap` bounds the number of
-    candidate tables, |n|^|lattice|, as if every one were tried.
-    """
-    size = lattice.size()
-    total = n.size() ** size
-    if total > cap:
-        raise SizeBoundExceeded(f"{total} candidate tables exceed cap {cap}")
-    laws_at = [[] for _ in range(size)]
-    for law in modulemap_laws(lattice, n):
-        laws_at[law.last].append(law)
-    table = [0] * size
-    out = []
-
-    def extend(p: int) -> None:
-        if p == size:
-            phi = ModuleMap(lattice, n, table)
-            if validate_modulemap(phi).ok:
-                out.append(phi)
-            return
-        for v in range(n.size()):
-            table[p] = v
-            if all(law.holds(table) for law in laws_at[p]):
-                extend(p + 1)
-
-    extend(0)
-    return out
+def enumerate_modulemaps(lattice: PresheafLattice, n: ModuleLattice) -> list[ModuleMap]:
+    """All module maps from the lattice into n, in table order."""
+    tables = search_tables(lattice.size(), n.size(), modulemap_laws(lattice, n))
+    return [ModuleMap(lattice, n, t) for t in tables]
 
 
-def check_duality_bijection(
-    c: EnrichedCategory, n: ModuleLattice, cap: int = 1_000_000
-) -> ValidationReport:
+def check_duality_bijection(c: EnrichedCategory, n: ModuleLattice) -> ValidationReport:
     """Enumerate both sides and verify the two translations are inverse.
 
     Checks that the counts agree, that evaluation on representables and
@@ -479,8 +411,8 @@ def check_duality_bijection(
     the error as the witness.
     """
     lattice = presheaf_lattice(c)
-    cops = enumerate_copresheaves(c, n, cap)
-    maps = enumerate_modulemaps(lattice, n, cap)
+    cops = enumerate_copresheaves(c, n)
+    maps = enumerate_modulemaps(lattice, n)
     checks = []
     checks.append(
         Check(
@@ -553,6 +485,7 @@ def check_pointwise_limits(c: EnrichedCategory) -> ValidationReport:
     if len(presheaves) > 16:
         raise SizeBoundExceeded(f"{2 ** len(presheaves)} families exceed the family bound")
     module = left_self_module(c.base)
+    laws = presheaf_laws(c, module)
 
     def fails(family, what: str) -> ValidationReport:
         return failing("pointwise-limits", f"family {tuple(f.values for f in family)}: {what}")
@@ -562,7 +495,7 @@ def check_pointwise_limits(c: EnrichedCategory) -> ValidationReport:
         for family in itertools.combinations(presheaves, r):
             j = join_presheaves(family, c, module)
             m = meet_presheaves(family, c, module)
-            if not validate_presheaf(j).ok or not validate_presheaf(m).ok:
+            if not all(check_laws(laws, p.values, "presheaf-action").ok for p in (j, m)):
                 return fails(family, "join or meet fails to validate")
             for x in c.objects.labels:
                 values = tuple(ev(f, x) for f in family)
@@ -583,12 +516,14 @@ def check_pushforward(phi: EnrichedFunctor) -> ValidationReport:
     q = c.base
     fs = enumerate_presheaves(c)
     gs = enumerate_presheaves(d)
+    pulled = [pullback(phi, g) for g in gs]
+    laws = presheaf_laws(d, left_self_module(q))
     for f in fs:
         pf = pushforward(phi, f)
-        if not validate_presheaf(pf).ok:
+        if not check_laws(laws, pf.values, "presheaf-action").ok:
             return failing("pushforward", f"image of {f.values} invalid")
-        for g in gs:
-            if leq_presheaves(pf, g) != leq_presheaves(f, pullback(phi, g)):
+        for g, pg in zip(gs, pulled):
+            if leq_presheaves(pf, g) != leq_presheaves(f, pg):
                 return failing("pushforward", f"adjunction fails at {f.values}, {g.values}")
         for a in range(q.size()):
             if pushforward(phi, tensor_action(f, a)) != tensor_action(pf, a):

@@ -92,14 +92,6 @@ def meet(q: Quantale, xs) -> int:
     return out
 
 
-def bottom(q: Quantale) -> int:
-    return join(q, ())
-
-
-def top(q: Quantale) -> int:
-    return meet(q, ())
-
-
 def _order_checks(name: str, elements, leq) -> Check | None:
     k = len(elements)
     rng = range(k)

@@ -1,9 +1,12 @@
-"""Validation reports: named checks with optional counterexample witnesses."""
+"""Validation reports: named checks with optional counterexample witnesses,
+and the law lists that decide value tables, shared by validators and
+enumerators."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import SizeBoundExceeded, ValidationError
 
 
 @dataclass(frozen=True)
@@ -46,3 +49,63 @@ def passing(name: str, witness: str | None = None) -> ValidationReport:
 
 def failing(name: str, witness: str) -> ValidationReport:
     return ValidationReport((Check(name, False, witness),))
+
+
+# ---------------------------------------------------------------------------
+# Value tables constrained by laws: one list per table kind serves both its
+# validator and its enumerator.
+
+TABLE_BOUND = 1_000_000
+
+
+class Law(NamedTuple):
+    """One law of a value table; `holds` reads no position after `last`."""
+
+    check: str
+    witness: str
+    last: int
+    holds: Callable[[Sequence[int]], bool]
+
+
+def check_laws(
+    laws: Sequence[Law], table: Sequence[int], name: str, witness: str | None = None
+) -> ValidationReport:
+    """The first law the table breaks, with its witness, else a pass named `name`."""
+    for law in laws:
+        if not law.holds(table):
+            return failing(law.check, law.witness)
+    return passing(name, witness)
+
+
+def search_tables(size: int, n_values: int, laws: Sequence[Law]) -> list[tuple[int, ...]]:
+    """Every table of `size` values in range(n_values) that keeps all the laws,
+    in the order of `itertools.product`.
+
+    A depth-first search assigns positions 0, 1, 2, ... in turn, trying the
+    values in order. After assigning a position it tests the laws whose
+    `last` that is, and abandons the partial table on the first violation.
+    Each complete table is tested against every law again. More than
+    TABLE_BOUND candidate tables, n_values**size, are refused before any
+    is tried.
+    """
+    total = n_values**size
+    if total > TABLE_BOUND:
+        raise SizeBoundExceeded(f"{total} candidate tables exceed the bound {TABLE_BOUND}")
+    laws_at = [[] for _ in range(size)]
+    for law in laws:
+        laws_at[law.last].append(law)
+    table = [0] * size
+    out = []
+
+    def extend(p: int) -> None:
+        if p == size:
+            if all(law.holds(table) for law in laws):
+                out.append(tuple(table))
+            return
+        for v in range(n_values):
+            table[p] = v
+            if all(law.holds(table) for law in laws_at[p]):
+                extend(p + 1)
+
+    extend(0)
+    return out

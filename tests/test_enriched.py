@@ -73,6 +73,14 @@ def test_enumerate_boolean_two_object_categories():
     assert PREORDER in cats and DISCRETE in cats
 
 
+def test_enumerate_lukasiewicz3_three_object_categories():
+    # 4^9 = 262,144 candidate hom tables, within the one table bound
+    cats = enumerate_categories(LUK3, labelset("a", "b", "c"))
+    assert len(cats) == 1490
+    assert all(validate_category(c).ok for c in cats)
+    assert len(set(cats)) == len(cats)
+
+
 def test_opposite_involution_and_validity():
     for c in (PREORDER, DISCRETE, METRIC):
         o = opposite(c)

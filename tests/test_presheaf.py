@@ -8,6 +8,7 @@ from oplab.enriched import (
     EnrichedFunctor,
     enumerate_categories,
     trivial_category,
+    validate_category,
 )
 from oplab.errors import BaseMismatch, SizeBoundExceeded, ValidationError
 from oplab.graphs import labelset
@@ -36,6 +37,7 @@ from oplab.presheaf import (
     pushforward,
     rep,
     tensor_action,
+    transported_presheaf,
     validate_copresheaf,
     validate_modulemap,
     validate_presheaf,
@@ -53,12 +55,13 @@ from oplab.quantale import (
     module_join,
     module_over_trivial,
     module_top,
+    noncommutative_chain4,
     right_self_module,
     transpose_module,
     trivial_quantale,
     validate_module,
 )
-from oplab.report import Check
+from oplab.report import TABLE_BOUND, Check, Law, ValidationReport, search_tables
 
 S = labelset("x", "y")
 BOOL = boolean_quantale()
@@ -358,9 +361,31 @@ def test_trivial_quantale_presheaves_match_module():
                         assert leq_presheaves(f, g) == module.le(ev(f, x), ev(g, x))
 
 
-def test_presheaf_lattice_cap():
+def _tested_tables(monkeypatch, name):
+    """Record every table the laws built by `presheaf.<name>` are tested on."""
+    tested = []
+    build = getattr(presheaf, name)
+
+    def recording(*args):
+        return tuple(
+            law._replace(holds=lambda t, holds=law.holds: tested.append(tuple(t)) or holds(t))
+            for law in build(*args)
+        )
+
+    monkeypatch.setattr(presheaf, name, recording)
+    return tested
+
+
+def test_presheaf_lattice_cap(monkeypatch):
+    # 4^10 = 1,048,576 candidate tables: refused before any table is tried
+    c = _discrete(LUK3, 10)
+    assert LUK3.size() ** 10 > TABLE_BOUND
+    tested = _tested_tables(monkeypatch, "presheaf_laws")
     with pytest.raises(SizeBoundExceeded):
-        enumerate_presheaves(METRIC, cap=3)
+        enumerate_presheaves(c)
+    with pytest.raises(SizeBoundExceeded):
+        presheaf_lattice(c)
+    assert tested == []
 
 
 def test_modulemap_must_target_right_module():
@@ -391,6 +416,99 @@ def _reference_modulemaps(lattice, n):
     return out
 
 
+def _reference_validate_presheaf(f):
+    """The action law as a direct loop over object pairs."""
+    c, m = f.category, f.module
+    names = c.objects.labels
+    for i in range(len(names)):
+        for j in range(len(names)):
+            if not m.le(m.act(c.hom[i][j], f.values[j]), f.values[i]):
+                witness = f"hom({names[i]},{names[j]}).F({names[j]}) > F({names[i]})"
+                return ValidationReport((Check("presheaf-action", False, witness),))
+    return ValidationReport((Check("presheaf-action", True, None),))
+
+
+def _reference_validate_category(c):
+    """The unit and composition laws as direct loops."""
+    q = c.base
+    names = c.objects.labels
+    k = len(names)
+    for i in range(k):
+        if not q.le(q.unit, c.hom[i][i]):
+            return ValidationReport((Check("unit-law", False, f"unit > hom({names[i]},{names[i]})"),))
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                if not q.le(q.mul(c.hom[i][j], c.hom[j][l]), c.hom[i][l]):
+                    witness = (
+                        f"hom({names[i]},{names[j]})*hom({names[j]},{names[l]}) > hom({names[i]},{names[l]})"
+                    )
+                    return ValidationReport((Check("composition-law", False, witness),))
+    return ValidationReport((Check("category", True, f"{k} objects"),))
+
+
+def _hom_tables(q, k):
+    for flat in itertools.product(range(q.size()), repeat=k * k):
+        yield tuple(flat[i * k : (i + 1) * k] for i in range(k))
+
+
+def _reference_categories(q, objects):
+    """Every hom table in product order, kept when the direct loops accept it."""
+    cats = (EnrichedCategory(q, objects, hom) for hom in _hom_tables(q, len(objects.labels)))
+    return [c for c in cats if _reference_validate_category(c).ok]
+
+
+def _reference_tables(c, module, make, validate):
+    """Every value table in product order, with the direct loops' report on each."""
+    tables = itertools.product(range(module.size()), repeat=len(c.objects.labels))
+    return [(x, validate(x)) for x in (make(c, module, t) for t in tables)]
+
+
+def _check_tables_match(c, module, make, enumerate_, validate, reference_validate):
+    reference = _reference_tables(c, module, make, reference_validate)
+    for x, report in reference:
+        assert validate(x).checks == report.checks, (c.hom, x.values)
+    assert enumerate_(c, module) == [x for x, report in reference if report.ok], c.hom
+
+
+def test_table_search_matches_reference():
+    bases = [BOOL, lukasiewicz(2), LUK3, noncommutative_chain4(), trivial_quantale()]
+    instances = [(q, labelset(*names)) for q in bases for names in (("x",), ("x", "y"))]
+    instances += [(BOOL, labelset("x", "y", "z")), (lukasiewicz(2), labelset("x", "y", "z"))]
+    categories = 0
+    for q, objects in instances:
+        for hom in _hom_tables(q, len(objects.labels)):
+            c = EnrichedCategory(q, objects, hom)
+            assert validate_category(c).checks == _reference_validate_category(c).checks, hom
+        cats = enumerate_categories(q, objects)
+        assert cats == _reference_categories(q, objects)
+        categories += len(cats)
+        left = [left_self_module(q)] + ([boolean_downset_module(3)] if q == BOOL else [])
+        right = [right_self_module(q)] + ([boolean_downset_module(3, RIGHT)] if q == BOOL else [])
+        for c in cats:
+            for module in left:
+                _check_tables_match(
+                    c, module, Presheaf, enumerate_presheaves, validate_presheaf, _reference_validate_presheaf
+                )
+            for module in right:
+                _check_tables_match(
+                    c,
+                    module,
+                    Copresheaf,
+                    enumerate_copresheaves,
+                    validate_copresheaf,
+                    lambda g: _reference_validate_presheaf(transported_presheaf(g)),
+                )
+    assert categories == 361
+
+
+def test_search_tables_retests_whole_tables():
+    # a law that reads past its declared last position is still decided on whole tables
+    law = Law("order", "t0 > t1", 0, lambda t: t[0] <= t[1])
+    assert search_tables(2, 3, [law]) == [t for t in itertools.product(range(3), repeat=2) if t[0] <= t[1]]
+    assert search_tables(0, 3, []) == [()]
+
+
 def test_modulemap_search_matches_reference():
     luk2 = lukasiewicz(2)
     targets = [right_self_module(BOOL)] + [boolean_downset_module(k, RIGHT) for k in (1, 2, 3)]
@@ -404,15 +522,17 @@ def test_modulemap_search_matches_reference():
         assert searched == [m.table for m in _reference_modulemaps(lat, n)], (c.hom, n.elements)
 
 
-def test_modulemap_cap_refuses_before_searching():
+def test_modulemap_cap_refuses_before_searching(monkeypatch):
     lat = presheaf_lattice(PREORDER)
     n = right_self_module(BOOL)
-    total = n.size() ** lat.size()
-    assert len(enumerate_modulemaps(lat, n, cap=total)) == 3
+    assert len(enumerate_modulemaps(lat, n)) == 3
+    # 32 presheaves on the discrete category: 2^32 candidate tables
+    big = _discrete(BOOL, 5)
+    assert n.size() ** presheaf_lattice(big).size() > TABLE_BOUND
+    tested = _tested_tables(monkeypatch, "modulemap_laws")
     with pytest.raises(SizeBoundExceeded):
-        enumerate_modulemaps(lat, n, cap=total - 1)
-    with pytest.raises(SizeBoundExceeded):
-        check_duality_bijection(_discrete(BOOL, 5), n)
+        check_duality_bijection(big, n)
+    assert tested == []
 
 
 def _drop_second_of_two(join):

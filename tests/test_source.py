@@ -1,7 +1,10 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "oplab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "oplab"
 
 
 def test_no_assert_statements_in_src():
@@ -15,3 +18,21 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_measured_names_exist():
+    # the lookups perfbench/tracer.py makes before a traced run, without wrapping
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, entries in tracer.LAYERS.items():
+        module = importlib.import_module(f"oplab.{module_name}")
+        for name, stats in entries:
+            for target in tracer.IO_LOADERS if f"{module_name}.{name}" == "io.load" else (name,):
+                obj = getattr(module, target, None)
+                if obj is None:
+                    missing.append(f"oplab.{module_name}.{target}")
+                elif "constructed" in stats and "__post_init__" not in obj.__dict__:
+                    missing.append(f"oplab.{module_name}.{target}.__post_init__")
+    assert missing == []
