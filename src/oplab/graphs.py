@@ -148,12 +148,13 @@ def identity_morphism(g: Graph) -> GraphMorphism:
     return GraphMorphism(g, g, tuple(range(n)), tuple((i,) for i in range(n)))
 
 
+def _base_map(edge_map) -> tuple[int, ...]:
+    """The underlying pointed images: 0 for deletion, i for target edge i-1."""
+    return tuple(0 if v is None else v + 1 for v in edge_map)
+
+
 def underlying_pointed(m: GraphMorphism) -> PointedMap:
-    return PointedMap(
-        len(m.source.edges),
-        len(m.target.edges),
-        tuple(0 if v is None else v + 1 for v in m.edge_map),
-    )
+    return PointedMap(len(m.source.edges), len(m.target.edges), _base_map(m.edge_map))
 
 
 def _chain_ok(src_edges, order, s: str, t: str) -> bool:
@@ -376,6 +377,23 @@ def _pair_edge(e0: tuple[str, str], e1: tuple[str, str]) -> tuple[str, str] | No
     return (left_label(e0[0]), left_label(e0[1]))
 
 
+def _splice(g0: Graph, g1: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
+    """The pairing of g0 and g1, and the position of each edge pair in it."""
+    if not is_left_modular(g0):
+        raise NotLeftModular("left argument has an edge out of the basepoint")
+    if not is_right_modular(g1):
+        raise NotRightModular("right argument has an edge into the basepoint")
+    edges = []
+    index = {}
+    for i0, e0 in enumerate(g0.edges):
+        for i1, e1 in enumerate(g1.edges):
+            pe = _pair_edge(e0, e1)
+            if pe is not None:
+                index[(i0, i1)] = len(edges)
+                edges.append(pe)
+    return Graph(pairing_labels(g0.labels, g1.labels), tuple(edges)), index
+
+
 def pairing(g0: Graph, g1: Graph) -> Graph:
     """Splice a left-modular and a right-modular graph through the basepoint.
 
@@ -384,29 +402,7 @@ def pairing(g0: Graph, g1: Graph) -> Graph:
     basepoint-to-basepoint pair runs from the source of e0 to the target
     of e1. Pairs come in g0-major positional order.
     """
-    if not is_left_modular(g0):
-        raise NotLeftModular("left argument has an edge out of the basepoint")
-    if not is_right_modular(g1):
-        raise NotRightModular("right argument has an edge into the basepoint")
-    labels = pairing_labels(g0.labels, g1.labels)
-    edges = []
-    for e0 in g0.edges:
-        for e1 in g1.edges:
-            pe = _pair_edge(e0, e1)
-            if pe is not None:
-                edges.append(pe)
-    return Graph(labels, tuple(edges))
-
-
-def _pair_index(g0: Graph, g1: Graph) -> dict[tuple[int, int], int]:
-    idx = {}
-    k = 0
-    for i0, e0 in enumerate(g0.edges):
-        for i1, e1 in enumerate(g1.edges):
-            if _pair_edge(e0, e1) is not None:
-                idx[(i0, i1)] = k
-                k += 1
-    return idx
+    return _splice(g0, g1)[0]
 
 
 def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
@@ -415,10 +411,8 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
         raise NotInert("left morphism is not inert")
     if classify_graph_morphism(m1) not in (MapClass.INERT, MapClass.BOTH):
         raise NotInert("right morphism is not inert")
-    source = pairing(m0.source, m1.source)
-    target = pairing(m0.target, m1.target)
-    src_idx = _pair_index(m0.source, m1.source)
-    tgt_idx = _pair_index(m0.target, m1.target)
+    source, src_idx = _splice(m0.source, m1.source)
+    target, tgt_idx = _splice(m0.target, m1.target)
     edge_map: list[int | None] = [None] * len(source.edges)
     for (i0, i1), k in src_idx.items():
         d0 = m0.edge_map[i0]
@@ -608,65 +602,49 @@ def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Chec
     return Check("segal-objects", True, f"fibers match {len(alphabet)}^n for n<={max_edges}")
 
 
-def _single_edge_counts(src: Graph, alphabet) -> dict[tuple[str, str], dict[int, int]]:
-    """Morphism counts into each single-edge graph, grouped by kept-edge mask.
+def _whole_counts(src: Graph, tgt: Graph, pools: dict) -> dict[tuple[int | None, ...], int]:
+    """Validated morphisms src -> tgt, counted by edge map.
 
-    Computed through the public enumerator so the whole-morphism validator
-    is the authority for the per-edge factors.
+    Every edge map the chain-pool search reaches is a key, those whose
+    candidates validate_morphism rejects all with count 0.
     """
-    n = len(src.edges)
-    out: dict[tuple[str, str], dict[int, int]] = {}
-    for ep in alphabet:
-        tgt = Graph(src.labels, (ep,))
-        grouped: dict[int, int] = {}
-        for m in enumerate_graph_morphisms(src, tgt, max_total_edges=n + 1):
-            mask = 0
-            for e, v in enumerate(m.edge_map):
-                if v is not None:
-                    mask |= 1 << e
-            grouped[mask] = grouped.get(mask, 0) + 1
-        out[ep] = grouped
-    return out
-
-
-def _base_map(edge_map) -> tuple[int, ...]:
-    """The underlying pointed images: 0 for deletion, i for target edge i-1."""
-    return tuple(0 if v is None else v + 1 for v in edge_map)
+    counts: dict[tuple[int | None, ...], int] = {}
+    for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, pools):
+        ok = validate_morphism(GraphMorphism(src, tgt, edge_map, fibers)).ok
+        counts[edge_map] = counts.get(edge_map, 0) + ok
+    return counts
 
 
 def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     """Whole-morphism counts equal products of single-edge counts per base map.
 
-    The whole side counts the candidates of _morphism_candidates that
-    validate_morphism accepts as whole morphisms, so a cross-fiber condition
-    surfaces here. The product side picks disjoint masks among the nonzero
-    single-edge counts. A mismatch is reported at the least base map in
-    lexicographic order.
+    Both sides are _whole_counts, so validate_morphism decides every whole
+    morphism and every single-edge factor, and a cross-fiber condition
+    surfaces here. A nonzero product needs pairwise disjoint masks that each
+    have a path order, so the whole search reaches its edge map. A mismatch
+    is reported at the least base map in lexicographic order.
     """
     pools: dict = {}
     pairs_checked = 0
     for src in objects:
-        per_edge = _single_edge_counts(src, alphabet)
+        per_edge = {ep: _whole_counts(src, Graph(src.labels, (ep,)), pools) for ep in alphabet}
         for tgt in objects:
-            whole: dict[tuple[int | None, ...], int] = {}
-            for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, pools):
-                if validate_morphism(GraphMorphism(src, tgt, edge_map, fibers)).ok:
-                    whole[edge_map] = whole.get(edge_map, 0) + 1
-            factors = [per_edge[ep] for ep in tgt.edges]
-            product = {
-                edge_map: math.prod(counts)
-                for edge_map, counts in _disjoint_picks(len(src.edges), factors)
-            }
-            if whole != product:
-                edge_map = min(
-                    (k for k in whole.keys() | product.keys() if whole.get(k, 0) != product.get(k, 0)),
-                    key=_base_map,
+            whole = _whole_counts(src, tgt, pools)
+
+            def product(edge_map) -> int:
+                return math.prod(
+                    per_edge[ep].get(tuple(0 if v == i else None for v in edge_map), 0)
+                    for i, ep in enumerate(tgt.edges)
                 )
+
+            bad = [k for k, n in whole.items() if n != product(k)]
+            if bad:
+                edge_map = min(bad, key=_base_map)
                 return Check(
                     "segal-morphisms",
                     False,
                     f"{src.edges} -> {tgt.edges} over {_base_map(edge_map)}: "
-                    f"{whole.get(edge_map, 0)} whole vs product {product.get(edge_map, 0)}",
+                    f"{whole[edge_map]} whole vs product {product(edge_map)}",
                 )
             pairs_checked += 1
     return Check("segal-morphisms", True, f"{pairs_checked} source/target pairs")
@@ -678,7 +656,8 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
     (1) every inert base map admits an inert lift at every object;
     (2) the fiber over <n> bijects with n-tuples of single-edge objects;
     (3) counts of validated whole morphisms over a fixed base map equal the
-        product of the counts into each single-edge restriction of the target.
+        product of the validated counts into each single-edge restriction of
+        the target; one search and one validator decide both sides.
     """
     if max_edges < 0:
         raise InvalidBound(f"max_edges must be at least 0, got {max_edges}")

@@ -497,11 +497,11 @@ def check_pointwise_limits(c: EnrichedCategory) -> ValidationReport:
             m = meet_presheaves(family, c, module)
             if not all(check_laws(laws, p.values, "presheaf-action").ok for p in (j, m)):
                 return fails(family, "join or meet fails to validate")
-            for x in c.objects.labels:
-                values = tuple(ev(f, x) for f in family)
-                if ev(j, x) != module_join(module, values):
+            for i, x in enumerate(c.objects.labels):
+                values = tuple(f.values[i] for f in family)
+                if j.values[i] != module_join(module, values):
                     return fails(family, f"join not pointwise at {x}")
-                if ev(m, x) != module_meet(module, values):
+                if m.values[i] != module_meet(module, values):
                     return fails(family, f"meet not pointwise at {x}")
             families += 1
     return passing("pointwise-limits", f"{families} families")

@@ -31,6 +31,7 @@ from .graphs import (
     enumerate_graph_morphisms,
     enumerate_objects,
     path_graph,
+    underlying_pointed,
     validate_morphism,
 )
 from .report import Check, ValidationReport
@@ -269,7 +270,7 @@ def _check_inert_chain_lifts(simplices) -> Check:
             if not rep.ok:
                 return Check("inert-chain-lifts", False, f"{x.chain} at {i}: {rep.first_failure()}")
             want = tuple(1 if j == i else 0 for j in range(1, n + 1))
-            got = tuple(0 if v is None else v + 1 for v in cut.edge_map)
+            got = underlying_pointed(cut).images
             if got != want:
                 return Check("inert-chain-lifts", False, f"{x.chain} at {i} lies over {got}")
     return Check("inert-chain-lifts", True, f"{len(simplices)} chains")

@@ -15,7 +15,6 @@ from oplab.enriched import (
     trivial_category,
 )
 from oplab.graphs import (
-    Graph,
     MapClass,
     OperadTag,
     STAR,
@@ -176,18 +175,8 @@ def test_criterion_3_pairing():
             for t_names in (("c",), ("c", "d")):
                 sp = labelset(*s_names, pointed=True)
                 tp = labelset(*t_names, pointed=True)
-                lms = [
-                    Graph(sp, edges)
-                    for k in range(3)
-                    for edges in itertools.product(allowed_edges(OperadTag.LM, sp), repeat=k)
-                ]
-                rms = [
-                    Graph(tp, edges)
-                    for k in range(3)
-                    for edges in itertools.product(allowed_edges(OperadTag.RM, tp), repeat=k)
-                ]
-                lefts = [m for g in lms for m in enumerate_inert_from(g)]
-                rights = [m for g in rms for m in enumerate_inert_from(g)]
+                lefts = [m for g in enumerate_objects(OperadTag.LM, sp, 2) for m in enumerate_inert_from(g)]
+                rights = [m for g in enumerate_objects(OperadTag.RM, tp, 2) for m in enumerate_inert_from(g)]
                 for m0 in lefts:
                     for m1 in rights:
                         out = pairing_inert(m0, m1)

@@ -542,6 +542,32 @@ def test_operad_reports_seeded_defect(monkeypatch):
     )
 
 
+def test_operad_reports_single_edge_defect(monkeypatch):
+    # a defect only the single-edge factors see is a mismatch, not a crash
+    validate = graphs.validate_morphism
+
+    def defective(m):
+        if len(m.target.edges) == 1 and len(m.fibers[0]) >= 2:
+            return failing("condition-two", "seeded defect on a single-edge target")
+        return validate(m)
+
+    monkeypatch.setattr(graphs, "validate_morphism", defective)
+    rep = check_operad_axioms(OperadTag.ASSOC, labelset("a"), 3)
+    assert rep.first_failure() == Check(
+        "segal-morphisms",
+        False,
+        "(('a', 'a'), ('a', 'a')) -> (('a', 'a'), ('a', 'a')) over (1, 1): 2 whole vs product 0",
+    )
+
+
+def test_operad_axioms_never_call_public_enumerator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_graph_morphisms called")
+
+    monkeypatch.setattr(graphs, "enumerate_graph_morphisms", refuse)
+    assert check_operad_axioms(OperadTag.ASSOC, labelset("a"), 3).ok
+
+
 # --- reference implementations ----------------------------------------------
 # The product loops that the chain-pool search replaced, kept to check it.
 
@@ -585,12 +611,33 @@ def _reference_whole_counts(src_edges, tgt_edges):
     return counts
 
 
+def _reference_single_edge_counts(src, alphabet):
+    """Morphism counts into each single-edge graph, grouped by kept-edge mask.
+
+    Computed through the public enumerator so the whole-morphism validator
+    is the authority for the per-edge factors.
+    """
+    n = len(src.edges)
+    out = {}
+    for ep in alphabet:
+        tgt = Graph(src.labels, (ep,))
+        grouped = {}
+        for m in enumerate_graph_morphisms(src, tgt, max_total_edges=n + 1):
+            mask = 0
+            for e, v in enumerate(m.edge_map):
+                if v is not None:
+                    mask |= 1 << e
+            grouped[mask] = grouped.get(mask, 0) + 1
+        out[ep] = grouped
+    return out
+
+
 def _reference_check_segal_morphisms(objects, alphabet):
     """The (m+1)^n product loop over every base map of every pair."""
     pairs_checked = 0
     for src in objects:
         n = len(src.edges)
-        per_edge = graphs._single_edge_counts(src, alphabet)
+        per_edge = _reference_single_edge_counts(src, alphabet)
         for tgt in objects:
             m = len(tgt.edges)
             whole = _reference_whole_counts(src.edges, tgt.edges)
