@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 from .errors import (
     IndexOutOfRange,
@@ -69,6 +70,22 @@ class Graph:
         for s, t in self.edges:
             if not self.labels.has_vertex(s) or not self.labels.has_vertex(t):
                 raise InvalidLabels(f"edge ({s},{t}) uses vertices outside {self.labels}")
+
+    # What `_splice` reads of a graph on either side of a pairing: whether
+    # the graph is modular on that side, and per edge whether it touches
+    # the basepoint there and the edge with both endpoints tagged.
+
+    @cached_property
+    def _as_left(self) -> tuple[bool, tuple[tuple[bool, tuple[str, str]], ...]]:
+        return is_left_modular(self), tuple(
+            (t == STAR, (left_label(s), left_label(t))) for s, t in self.edges
+        )
+
+    @cached_property
+    def _as_right(self) -> tuple[bool, tuple[tuple[bool, tuple[str, str]], ...]]:
+        return is_right_modular(self), tuple(
+            (s == STAR, (right_label(s), right_label(t))) for s, t in self.edges
+        )
 
 
 def empty_graph(labels: LabelSet) -> Graph:
@@ -350,6 +367,7 @@ def right_label(name: str) -> str:
     return name + ".1"
 
 
+@lru_cache(maxsize=256)
 def pairing_labels(s: LabelSet, t: LabelSet) -> LabelSet:
     """Disjoint union of the two base label sets, tagged left/right."""
     return LabelSet(
@@ -365,33 +383,30 @@ def codiagonal(s: LabelSet) -> dict[str, str]:
     return out
 
 
-def _pair_edge(e0: tuple[str, str], e1: tuple[str, str]) -> tuple[str, str] | None:
-    touches0 = e0[1] == STAR
-    touches1 = e1[0] == STAR
-    if not (touches0 or touches1):
-        return None
-    if touches0 and touches1:
-        return (left_label(e0[0]), right_label(e1[1]))
-    if touches0:
-        return (right_label(e1[0]), right_label(e1[1]))
-    return (left_label(e0[0]), left_label(e0[1]))
-
-
-def _splice(g0: Graph, g1: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
-    """The pairing of g0 and g1, and the position of each edge pair in it."""
-    if not is_left_modular(g0):
+def _splice(g0: Graph, g1: Graph) -> tuple[Graph, list[int | None]]:
+    """The pairing of g0 and g1, and the position in it of each edge pair:
+    the pair (i0, i1) sits at index i0 * len(g1.edges) + i1, None when the
+    pairing drops it."""
+    left_modular, left = g0._as_left
+    if not left_modular:
         raise NotLeftModular("left argument has an edge out of the basepoint")
-    if not is_right_modular(g1):
+    right_modular, right = g1._as_right
+    if not right_modular:
         raise NotRightModular("right argument has an edge into the basepoint")
     edges = []
-    index = {}
-    for i0, e0 in enumerate(g0.edges):
-        for i1, e1 in enumerate(g1.edges):
-            pe = _pair_edge(e0, e1)
-            if pe is not None:
-                index[(i0, i1)] = len(edges)
-                edges.append(pe)
-    return Graph(pairing_labels(g0.labels, g1.labels), tuple(edges)), index
+    positions: list[int | None] = []
+    for touches0, edge0 in left:
+        for touches1, edge1 in right:
+            if touches0:
+                edge = (edge0[0], edge1[1]) if touches1 else edge1
+            elif touches1:
+                edge = edge0
+            else:
+                positions.append(None)
+                continue
+            positions.append(len(edges))
+            edges.append(edge)
+    return Graph(pairing_labels(g0.labels, g1.labels), tuple(edges)), positions
 
 
 def pairing(g0: Graph, g1: Graph) -> Graph:
@@ -411,17 +426,24 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
         raise NotInert("left morphism is not inert")
     if classify_graph_morphism(m1) not in (MapClass.INERT, MapClass.BOTH):
         raise NotInert("right morphism is not inert")
-    source, src_idx = _splice(m0.source, m1.source)
-    target, tgt_idx = _splice(m0.target, m1.target)
+    source, src_pos = _splice(m0.source, m1.source)
+    target, tgt_pos = _splice(m0.target, m1.target)
+    width, tgt_width = len(m1.source.edges), len(m1.target.edges)
     edge_map: list[int | None] = [None] * len(source.edges)
-    for (i0, i1), k in src_idx.items():
-        d0 = m0.edge_map[i0]
-        d1 = m1.edge_map[i1]
-        if d0 is not None and d1 is not None:
-            edge_map[k] = tgt_idx[(d0, d1)]
     fibers: list[tuple[int, ...]] = [()] * len(target.edges)
-    for k, v in enumerate(edge_map):
-        if v is not None:
+    for i0, d0 in enumerate(m0.edge_map):
+        if d0 is None:
+            continue
+        for i1, d1 in enumerate(m1.edge_map):
+            k = src_pos[i0 * width + i1]
+            if k is None or d1 is None:
+                continue
+            v = tgt_pos[d0 * tgt_width + d1]
+            if v is None:
+                raise NotInert(
+                    f"edge pair ({i0},{i1}) is spliced but its image ({d0},{d1}) is not"
+                )
+            edge_map[k] = v
             fibers[v] = (k,)
     return GraphMorphism(source, target, tuple(edge_map), tuple(fibers))
 

@@ -131,6 +131,8 @@ def leq_presheaves(f: Presheaf, g: Presheaf) -> bool:
 
 
 def _require_same_home(f, g):
+    if f.category is g.category and f.module is g.module:
+        return
     if f.category != g.category or f.module != g.module:
         raise BaseMismatch("presheaves live on different categories or modules")
 

@@ -7,6 +7,8 @@ tuples of indices. Validation is exhaustive, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidLabels
 from .report import Check, ValidationReport
@@ -60,6 +62,10 @@ class Quantale:
             acc = self.tensor[acc][x]
         return acc
 
+    @cached_property
+    def _lattice(self) -> _Tables | None:
+        return _lattice_tables(self.leq)
+
 
 def _least_upper(leq, xs, universe) -> int | None:
     uppers = [c for c in universe if all(leq[x][c] for x in xs)]
@@ -77,19 +83,70 @@ def _greatest_lower(leq, xs, universe) -> int | None:
     return None
 
 
+class _Tables(NamedTuple):
+    joins: tuple[tuple[int, ...], ...]
+    meets: tuple[tuple[int, ...], ...]
+    bottom: int
+    top: int
+
+
+@lru_cache(maxsize=256)
+def _lattice_tables(leq) -> _Tables | None:
+    """Binary joins and meets, bottom and top of an order table, found by
+    the `_least_upper`/`_greatest_lower` scans once per distinct table.
+
+    None unless the table is a partial order with every binary join and
+    meet, a bottom and a top: only then does folding the binary tables
+    give what the scan gives on every tuple, so callers scan instead.
+    """
+    k = len(leq)
+    rng = range(k)
+    if _order_checks("order", rng, leq) is not None:
+        return None
+    joins = tuple(tuple(_least_upper(leq, (a, b), rng) for b in rng) for a in rng)
+    meets = tuple(tuple(_greatest_lower(leq, (a, b), rng) for b in rng) for a in rng)
+    bottom = _least_upper(leq, (), rng)
+    top = _greatest_lower(leq, (), rng)
+    if bottom is None or top is None or any(None in row for row in joins + meets):
+        return None
+    return _Tables(joins, meets, bottom, top)
+
+
+def _fold_join(order: Quantale | ModuleLattice, xs, missing: str) -> int:
+    tables = order._lattice
+    if tables is None:
+        out = _least_upper(order.leq, tuple(xs), range(len(order.leq)))
+        if out is None:
+            raise IndexOutOfRange(missing)
+        return out
+    joins = tables.joins
+    acc = tables.bottom
+    for x in xs:
+        acc = joins[acc][x]
+    return acc
+
+
+def _fold_meet(order: Quantale | ModuleLattice, xs, missing: str) -> int:
+    tables = order._lattice
+    if tables is None:
+        out = _greatest_lower(order.leq, tuple(xs), range(len(order.leq)))
+        if out is None:
+            raise IndexOutOfRange(missing)
+        return out
+    meets = tables.meets
+    acc = tables.top
+    for x in xs:
+        acc = meets[acc][x]
+    return acc
+
+
 def join(q: Quantale, xs) -> int:
     """Least upper bound; the empty join is the bottom element."""
-    out = _least_upper(q.leq, tuple(xs), range(q.size()))
-    if out is None:
-        raise IndexOutOfRange("join does not exist; quantale not validated?")
-    return out
+    return _fold_join(q, xs, "join does not exist; quantale not validated?")
 
 
 def meet(q: Quantale, xs) -> int:
-    out = _greatest_lower(q.leq, tuple(xs), range(q.size()))
-    if out is None:
-        raise IndexOutOfRange("meet does not exist; quantale not validated?")
-    return out
+    return _fold_meet(q, xs, "meet does not exist; quantale not validated?")
 
 
 def _order_checks(name: str, elements, leq) -> Check | None:
@@ -284,19 +341,17 @@ class ModuleLattice:
         """Left action a.x, or right action x.a when side is right."""
         return self.action[a][x] if self.side == LEFT else self.action[x][a]
 
+    @cached_property
+    def _lattice(self) -> _Tables | None:
+        return _lattice_tables(self.leq)
+
 
 def module_join(m: ModuleLattice, xs) -> int:
-    out = _least_upper(m.leq, tuple(xs), range(m.size()))
-    if out is None:
-        raise IndexOutOfRange("module join does not exist")
-    return out
+    return _fold_join(m, xs, "module join does not exist")
 
 
 def module_meet(m: ModuleLattice, xs) -> int:
-    out = _greatest_lower(m.leq, tuple(xs), range(m.size()))
-    if out is None:
-        raise IndexOutOfRange("module meet does not exist")
-    return out
+    return _fold_meet(m, xs, "module meet does not exist")
 
 
 def module_bottom(m: ModuleLattice) -> int:

@@ -445,6 +445,120 @@ def test_pairing_tensor_in_second_argument_exhaustive():
                 assert iso_graphs(lhs, rhs)
 
 
+def test_pairing_inert_missing_image_pair_is_typed():
+    # (a,*) is spliced with the loop (c,c), but its image (a,b) is not
+    tp = labelset("c", pointed=True)
+    m0 = GraphMorphism(Graph(SP, (("a", STAR),)), Graph(SP, (("a", "b"),)), (0,), ((0,),))
+    m1 = identity_morphism(Graph(tp, (("c", "c"),)))
+    with pytest.raises(NotInert, match=r"edge pair \(0,0\)"):
+        pairing_inert(m0, m1)
+
+
+def _reference_pair_edge(e0, e1):
+    touches0 = e0[1] == STAR
+    touches1 = e1[0] == STAR
+    if not (touches0 or touches1):
+        return None
+    if touches0 and touches1:
+        return (left_label(e0[0]), right_label(e1[1]))
+    if touches0:
+        return (right_label(e1[0]), right_label(e1[1]))
+    return (left_label(e0[0]), left_label(e0[1]))
+
+
+def _reference_splice(g0, g1):
+    """The dict-indexed splice that `_splice` replaced."""
+    if not is_left_modular(g0):
+        raise NotLeftModular("left argument has an edge out of the basepoint")
+    if not is_right_modular(g1):
+        raise NotRightModular("right argument has an edge into the basepoint")
+    edges = []
+    index = {}
+    for i0, e0 in enumerate(g0.edges):
+        for i1, e1 in enumerate(g1.edges):
+            pe = _reference_pair_edge(e0, e1)
+            if pe is not None:
+                index[(i0, i1)] = len(edges)
+                edges.append(pe)
+    return Graph(pairing_labels(g0.labels, g1.labels), tuple(edges)), index
+
+
+def _reference_pairing_inert(m0, m1):
+    """`pairing_inert` as it was before per-graph splice data."""
+    if classify_graph_morphism(m0) not in (MapClass.INERT, MapClass.BOTH):
+        raise NotInert("left morphism is not inert")
+    if classify_graph_morphism(m1) not in (MapClass.INERT, MapClass.BOTH):
+        raise NotInert("right morphism is not inert")
+    source, src_idx = _reference_splice(m0.source, m1.source)
+    target, tgt_idx = _reference_splice(m0.target, m1.target)
+    edge_map = [None] * len(source.edges)
+    for (i0, i1), k in src_idx.items():
+        d0 = m0.edge_map[i0]
+        d1 = m1.edge_map[i1]
+        if d0 is not None and d1 is not None:
+            edge_map[k] = tgt_idx[(d0, d1)]
+    fibers = [()] * len(target.edges)
+    for k, v in enumerate(edge_map):
+        if v is not None:
+            fibers[v] = (k,)
+    return GraphMorphism(source, target, tuple(edge_map), tuple(fibers))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the reference and the library must raise alike
+        return type(exc)
+
+
+def test_pairing_matches_reference():
+    for s_names, t_names in ((("a",), ("c",)), (("a",), ("c", "d")), (("a", "b"), ("c",))):
+        sp = labelset(*s_names, pointed=True)
+        tp = labelset(*t_names, pointed=True)
+        lefts = [m for g in enumerate_objects(OperadTag.LM, sp, 2) for m in enumerate_inert_from(g)]
+        rights = [m for g in enumerate_objects(OperadTag.RM, tp, 2) for m in enumerate_inert_from(g)]
+        for m0 in lefts:
+            for m1 in rights:
+                assert pairing_inert(m0, m1) == _reference_pairing_inert(m0, m1)
+    tp = labelset("c", "d", pointed=True)
+    for g0 in enumerate_objects(OperadTag.LM, SP, 2):
+        for g1 in enumerate_objects(OperadTag.RM, tp, 2):
+            assert pairing(g0, g1) == _reference_splice(g0, g1)[0]
+
+
+def test_pairing_raises_like_reference():
+    tp = labelset("c", pointed=True)
+    graphs0 = small_graphs_pointed(SP, 1)
+    graphs1 = small_graphs_pointed(tp, 1)
+    raised = set()
+    for g0 in graphs0:
+        for g1 in graphs1:
+            expected = _outcome(lambda: _reference_splice(g0, g1)[0])
+            assert _outcome(pairing, g0, g1) == expected
+            expected = _outcome(_reference_pairing_inert, identity_morphism(g0), identity_morphism(g1))
+            assert _outcome(pairing_inert, identity_morphism(g0), identity_morphism(g1)) == expected
+            raised.add(expected if isinstance(expected, type) else None)
+    assert raised == {None, NotLeftModular, NotRightModular}
+    g1 = rm_path(tp, ("c",), True)
+    for m0 in (add_loop(SP, "a"), contract_path(SP, ("a", "b", STAR))):
+        for args in ((m0, identity_morphism(g1)), (identity_morphism(empty_graph(SP)), reverse_morphism(m0))):
+            assert _outcome(_reference_pairing_inert, *args) is NotInert
+            assert _outcome(pairing_inert, *args) is NotInert
+
+
+def test_spliced_graph_equals_fresh_graph():
+    tp = labelset("c", "d", pointed=True)
+    g0 = lm_path(SP, ("a", "b"), True)
+    g1 = rm_path(tp, ("c", "d"), True)
+    spliced = pairing(g0, g1)
+    pairing(g0, g1)  # the splice data of g0 and g1 is now cached on them
+    fresh = Graph(pairing_labels(SP, tp), spliced.edges)
+    assert spliced == fresh and hash(spliced) == hash(fresh) and repr(spliced) == repr(fresh)
+    for g in (g0, g1):
+        again = Graph(g.labels, g.edges)
+        assert g == again and hash(g) == hash(again) and repr(g) == repr(again)
+
+
 # --- enumeration ----------------------------------------------------------
 
 

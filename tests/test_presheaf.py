@@ -199,6 +199,18 @@ def test_join_meet_presheaves():
             assert validate_presheaf(meet_presheaves(fam, PREORDER, module)).ok
 
 
+def test_join_meet_presheaves_compare_homes_by_value():
+    f = Presheaf(PREORDER, left_self_module(BOOL), (1, 0))
+    # an equal category and module, built again: not the same objects
+    g = Presheaf(EnrichedCategory(BOOL, S, PREORDER.hom), left_self_module(BOOL), (1, 1))
+    assert join_presheaves([f, g]).values == (1, 1)
+    assert meet_presheaves([f, g]).values == (1, 0)
+    other = Presheaf(CODISCRETE, f.module, (1, 1))
+    for combine in (join_presheaves, meet_presheaves):
+        with pytest.raises(BaseMismatch):
+            combine([f, other])
+
+
 def test_leq_presheaves():
     ps = enumerate_presheaves(PREORDER)
     for f in ps:

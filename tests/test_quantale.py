@@ -1,6 +1,11 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
+from oplab import quantale
 from oplab.errors import IndexOutOfRange, InvalidLabels
+from oplab.io import load_module, load_quantale
 from oplab.quantale import (
     LEFT,
     RIGHT,
@@ -16,6 +21,7 @@ from oplab.quantale import (
     make_builtin,
     meet,
     module_join,
+    module_meet,
     module_over_trivial,
     noncommutative_chain4,
     one_element_module,
@@ -28,6 +34,8 @@ from oplab.quantale import (
     validate_module,
     validate_quantale,
 )
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 BUILTINS = [boolean_quantale(), lukasiewicz(3), trivial_quantale(), noncommutative_chain4()]
 
@@ -176,3 +184,61 @@ def test_module_join():
     m = boolean_downset_module(3)
     assert module_join(m, ()) == 0
     assert module_join(m, (0, 2)) == 2
+
+
+def _orders():
+    """(join, meet, order) of every fixture and library quantale and module,
+    and of orders that are not lattices or not partial orders."""
+    qs = [
+        load_quantale(FIXTURES / "boolean.json"),
+        load_quantale(FIXTURES / "lukasiewicz3.json"),
+        boolean_quantale(),
+        lukasiewicz(2),
+        lukasiewicz(3),
+        trivial_quantale(),
+        noncommutative_chain4(),
+        # two incomparable maximal elements, no top and no joins of them
+        Quantale(("x", "y"), ((True, False), (False, True)), ((0, 0), (0, 1)), 1),
+    ]
+    ms = [load_module(FIXTURES / "chain3_left_module.json"), boolean_downset_module(3)]
+    ms += [f(q) for q in qs[2:7] for f in (left_self_module, right_self_module)]
+    bot_xy = ((True, True, True), (False, True, False), (False, False, True))
+    ms.append(module_over_trivial(("bot", "x", "y"), bot_xy))
+    ms.append(module_over_trivial(*diamond_lattice()))
+    # not reflexive: the scans find every binary join and meet, a bottom
+    # and a top, yet folding the binary joins gives y for (x,y), the scan z
+    ms.append(module_over_trivial(("x", "y", "z"), ((0, 0, 1), (0, 1, 1), (1, 1, 1))))
+    return [(join, meet, q) for q in qs] + [(module_join, module_meet, m) for m in ms]
+
+
+@pytest.mark.parametrize("join_fn, meet_fn, order", _orders())
+def test_joins_and_meets_match_scan(join_fn, meet_fn, order):
+    rng = range(len(order.leq))
+    for n in range(4):
+        for xs in itertools.product(rng, repeat=n):
+            for fn, scan in ((join_fn, quantale._least_upper), (meet_fn, quantale._greatest_lower)):
+                expected = scan(order.leq, xs, rng)
+                if expected is None:
+                    with pytest.raises(IndexOutOfRange):
+                        fn(order, xs)
+                else:
+                    assert fn(order, xs) == expected
+
+
+def test_non_lattice_orders_get_no_tables():
+    for _, _, order in _orders():
+        lattice = validate_quantale(order) if isinstance(order, Quantale) else validate_module(order)
+        if lattice.first_failure() and lattice.first_failure().name in ("order", "lattice"):
+            assert order._lattice is None
+        else:
+            assert order._lattice is not None
+
+
+def test_self_module_tables_built_once():
+    quantale._lattice_tables.cache_clear()
+    q = lukasiewicz(3)
+    for _ in range(2):
+        m = left_self_module(q)
+        assert module_join(m, (1, 2)) == 2 and module_meet(m, (1, 2)) == 1
+    info = quantale._lattice_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
