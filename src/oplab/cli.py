@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from . import io as artifacts
 from .enriched import EnrichedFunctor, validate_category
@@ -149,7 +150,13 @@ def _cmd_pushforward(args) -> tuple[ValidationReport, dict | None]:
     return check_pushforward(EnrichedFunctor(c, d)), None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Each verb's handler and the choices of `validate` are bound when the
+    parser is built; handlers read VALIDATORS and the suites when called.
+    """
     parser = argparse.ArgumentParser(prog="oplab", description=__doc__)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(

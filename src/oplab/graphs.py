@@ -186,8 +186,14 @@ def _chain_ok(src_edges, order, s: str, t: str) -> bool:
     return True
 
 
+_MORPHISM_OK = passing("morphism")
+
+
 def validate_morphism(m: GraphMorphism) -> ValidationReport:
-    """Check the structural and path conditions; stop at the first violation."""
+    """Check the structural and path conditions; stop at the first violation.
+
+    Every passing morphism gets the same immutable report.
+    """
     if m.source.labels != m.target.labels:
         return failing("label-sets", f"{m.source.labels} vs {m.target.labels}")
     seen: set[int] = set()
@@ -208,7 +214,7 @@ def validate_morphism(m: GraphMorphism) -> ValidationReport:
                 return failing("condition-one", f"target edge {i} ({s},{t}) has empty fiber but is not a loop")
         elif not _chain_ok(m.source.edges, fib, s, t):
             return failing("condition-two", f"fiber {fib} of target edge {i} is not a path ({s},{t})")
-    return passing("morphism")
+    return _MORPHISM_OK
 
 
 def compose_graph_morphisms(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
@@ -474,35 +480,36 @@ def _chain_pool(src_edges, s: str, t: str, pools: dict) -> dict[int, list[tuple[
     return pool
 
 
-def _disjoint_picks(n: int, tables: list[dict]) -> list[tuple[tuple[int | None, ...], tuple]]:
-    """Every way to pick one mask from each table, the masks pairwise disjoint.
+_ROOT_PICK = (0, (), (), 1)
 
-    A depth-first search over the tables in order. Each pick is returned as
-    (edge_map, values): edge_map sends each of the n source edges to the
-    index of the table whose mask holds it, or to None; values are the
-    picked masks' entries, in table order.
+
+def _extend_picks(picks, pool: dict, factors: dict | None = None) -> list:
+    """Extend each partial pick by one target edge.
+
+    A pick is (used, masks, orders, product): the union of its masks, the
+    mask of source edges picked for each target edge so far, the path
+    orders of each picked mask, and the product of the factors at the
+    picked masks. Each pick is extended by every mask of the edge's chain
+    pool disjoint from its used mask, in pool order; the product gains
+    factors[mask] when factors is given.
     """
     out = []
-    images: list[int | None] = [None] * n
-    values: list = []
-
-    def search(i: int, used: int):
-        if i == len(tables):
-            out.append((tuple(images), tuple(values)))
-            return
-        for mask, value in tables[i].items():
+    for used, masks, orders, product in picks:
+        for mask, mask_orders in pool.items():
             if not mask & used:
-                bits = [e for e in range(n) if mask >> e & 1]
-                for e in bits:
-                    images[e] = i
-                values.append(value)
-                search(i + 1, used | mask)
-                values.pop()
-                for e in bits:
-                    images[e] = None
-
-    search(0, 0)
+                factor = 1 if factors is None else factors[mask]
+                out.append((used | mask, masks + (mask,), orders + (mask_orders,), product * factor))
     return out
+
+
+def _pick_edge_map(n: int, masks) -> tuple[int | None, ...]:
+    """Send each of the n source edges to the target edge whose mask holds it."""
+    images: list[int | None] = [None] * n
+    for i, mask in enumerate(masks):
+        for e in range(n):
+            if mask >> e & 1:
+                images[e] = i
+    return tuple(images)
 
 
 def _morphism_candidates(src_edges, tgt_edges, pools: dict):
@@ -514,8 +521,11 @@ def _morphism_candidates(src_edges, tgt_edges, pools: dict):
     are exactly the morphisms whose every fiber passes _chain_ok; callers
     validate them whole.
     """
-    tables = [_chain_pool(src_edges, s, t, pools) for s, t in tgt_edges]
-    for edge_map, orders in _disjoint_picks(len(src_edges), tables):
+    picks = [_ROOT_PICK]
+    for s, t in tgt_edges:
+        picks = _extend_picks(picks, _chain_pool(src_edges, s, t, pools))
+    for _, masks, orders, _ in picks:
+        edge_map = _pick_edge_map(len(src_edges), masks)
         for fibers in itertools.product(*orders):
             yield edge_map, fibers
 
@@ -624,51 +634,68 @@ def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Chec
     return Check("segal-objects", True, f"fibers match {len(alphabet)}^n for n<={max_edges}")
 
 
-def _whole_counts(src: Graph, tgt: Graph, pools: dict) -> dict[tuple[int | None, ...], int]:
-    """Validated morphisms src -> tgt, counted by edge map.
-
-    Every edge map the chain-pool search reaches is a key, those whose
-    candidates validate_morphism rejects all with count 0.
-    """
-    counts: dict[tuple[int | None, ...], int] = {}
-    for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, pools):
-        ok = validate_morphism(GraphMorphism(src, tgt, edge_map, fibers)).ok
-        counts[edge_map] = counts.get(edge_map, 0) + ok
-    return counts
+def _validated_count(src: Graph, tgt: Graph, edge_map, orders) -> int:
+    """How many morphisms src -> tgt with this edge map and these path
+    orders per target edge validate_morphism accepts."""
+    return sum(
+        validate_morphism(GraphMorphism(src, tgt, edge_map, fibers)).ok
+        for fibers in itertools.product(*orders)
+    )
 
 
 def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     """Whole-morphism counts equal products of single-edge counts per base map.
 
-    Both sides are _whole_counts, so validate_morphism decides every whole
-    morphism and every single-edge factor, and a cross-fiber condition
-    surfaces here. A nonzero product needs pairwise disjoint masks that each
-    have a path order, so the whole search reaches its edge map. A mismatch
-    is reported at the least base map in lexicographic order.
+    For each source, a depth-first walk over the trie of target edge tuples
+    extends the picks of a target's prefix by its last edge. Every candidate
+    of every target is validated whole and counted per edge map, that is per
+    pick. A pick's product multiplies, over its target edges, the validated
+    count into that single edge at the mask it picked; those factors are
+    settled before the walk, so single-edge targets are validated once as
+    factors and once as whole targets. A nonzero product needs pairwise
+    disjoint masks that each have a path order, so the walk reaches its edge
+    map. A mismatch is reported at the first failing target in objects
+    order, at its least base map in lexicographic order.
     """
+    index = {g.edges: (k, g) for k, g in enumerate(objects)}
+    depth = max(len(g.edges) for g in objects)
     pools: dict = {}
     pairs_checked = 0
     for src in objects:
-        per_edge = {ep: _whole_counts(src, Graph(src.labels, (ep,)), pools) for ep in alphabet}
-        for tgt in objects:
-            whole = _whole_counts(src, tgt, pools)
+        n = len(src.edges)
+        edge_pools = [_chain_pool(src.edges, s, t, pools) for s, t in alphabet]
+        factors = []
+        if depth:
+            for ep, pool in zip(alphabet, edge_pools):
+                tgt = index[(ep,)][1]
+                factors.append({
+                    mask: _validated_count(src, tgt, _pick_edge_map(n, (mask,)), (orders,))
+                    for mask, orders in pool.items()
+                })
+        first = None  # the least (position in objects, base map, whole, product) mismatch
 
-            def product(edge_map) -> int:
-                return math.prod(
-                    per_edge[ep].get(tuple(0 if v == i else None for v in edge_map), 0)
-                    for i, ep in enumerate(tgt.edges)
-                )
-
-            bad = [k for k, n in whole.items() if n != product(k)]
-            if bad:
-                edge_map = min(bad, key=_base_map)
-                return Check(
-                    "segal-morphisms",
-                    False,
-                    f"{src.edges} -> {tgt.edges} over {_base_map(edge_map)}: "
-                    f"{whole[edge_map]} whole vs product {product(edge_map)}",
-                )
+        def visit(edges, picks):
+            nonlocal first, pairs_checked
+            k, tgt = index[edges]
+            for _, masks, orders, product in picks:
+                edge_map = _pick_edge_map(n, masks)
+                whole = _validated_count(src, tgt, edge_map, orders)
+                if whole != product:
+                    bad = (k, _base_map(edge_map), whole, product)
+                    first = bad if first is None else min(first, bad)
             pairs_checked += 1
+            if len(edges) < depth:
+                for ep, pool, edge_factors in zip(alphabet, edge_pools, factors):
+                    visit(edges + (ep,), _extend_picks(picks, pool, edge_factors))
+
+        visit((), [_ROOT_PICK])
+        if first is not None:
+            k, base, whole, product = first
+            return Check(
+                "segal-morphisms",
+                False,
+                f"{src.edges} -> {objects[k].edges} over {base}: {whole} whole vs product {product}",
+            )
     return Check("segal-morphisms", True, f"{pairs_checked} source/target pairs")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -95,6 +96,22 @@ def test_unknown_verb_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_tree_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run(["validate", "quantale", str(FIXTURES / "boolean.json")])[1] == 0
+    tree = len(built)  # the root parser and one sub-parser per verb
+    assert run(["density", "--category", str(FIXTURES / "preorder.json")])[1] == 0
+    assert tree > 1 and len(built) == tree
 
 
 def test_deterministic_output_is_byte_stable(capsys):

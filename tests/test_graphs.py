@@ -52,7 +52,7 @@ from oplab.graphs import (
     underlying_pointed,
     validate_morphism,
 )
-from oplab.report import Check, failing
+from oplab.report import Check, failing, passing
 
 S = labelset("a", "b")
 SP = labelset("a", "b", pointed=True)
@@ -672,6 +672,46 @@ def test_operad_reports_single_edge_defect(monkeypatch):
         False,
         "(('a', 'a'), ('a', 'a')) -> (('a', 'a'), ('a', 'a')) over (1, 1): 2 whole vs product 0",
     )
+
+
+def test_segal_witness_is_first_failing_target_in_objects_order(monkeypatch):
+    # the check walks targets depth-first, which reaches (a,a)(a,a)(a,a)
+    # before (b,b)(b,b); objects order, and so the witness, has them reversed
+    validate = graphs.validate_morphism
+    broken = (("b", "b"),) * 2, (("a", "a"),) * 3
+
+    def defective(m):
+        if m.target.edges in broken:
+            return failing("condition-two", "seeded defect at a broken target")
+        return validate(m)
+
+    monkeypatch.setattr(graphs, "validate_morphism", defective)
+    objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 3)
+    assert graphs._check_segal_morphisms(objects, alphabet) == Check(
+        "segal-morphisms", False, "() -> (('b', 'b'), ('b', 'b')) over (): 0 whole vs product 1"
+    )
+
+
+def test_operad_validation_work(monkeypatch):
+    # every whole candidate of every pair is validated, single edges included
+    validate = graphs.validate_morphism
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return validate(m)
+
+    monkeypatch.setattr(graphs, "validate_morphism", counting)
+    for names, want in ((("a",), 270), (("a", "b"), 18118)):
+        calls.clear()
+        assert check_operad_axioms(OperadTag.ASSOC, labelset(*names), 3).ok
+        assert len(calls) == want, names
+
+
+def test_passing_morphism_report_is_the_plain_pass():
+    rep = validate_morphism(contract_path(S, ("a", "b", "a")))
+    assert rep == passing("morphism")
+    assert validate_morphism(identity_morphism(Graph(S, (("a", "b"),)))) == rep
 
 
 def test_operad_axioms_never_call_public_enumerator(monkeypatch):
