@@ -32,7 +32,7 @@ from .presheaf import (
     validate_presheaf,
 )
 from .quantale import right_self_module, validate_module, validate_quantale
-from .report import Check, ValidationReport
+from .report import Check, ValidationReport, failing, passing
 from .simplex import check_approximation
 
 
@@ -42,10 +42,6 @@ class Report:
     checks: tuple[Check, ...]
     timing_ms: int
     result: dict | None = None
-
-
-def _status(rep: ValidationReport) -> str:
-    return "pass" if rep.ok else "fail"
 
 
 def emit_report(report: Report, fmt: str, stream=None) -> None:
@@ -78,7 +74,7 @@ def _loaded_ok(kind):
 
     def handler(path):
         getattr(artifacts, f"load_{kind}")(path)
-        return ValidationReport((Check(kind, True, None),))
+        return passing(kind)
 
     return handler
 
@@ -114,9 +110,7 @@ def _cmd_pairing(args) -> tuple[ValidationReport, dict | None]:
     g0 = artifacts.load_graph(args.left)
     g1 = artifacts.load_graph(args.right)
     out = pairing(g0, g1)
-    rep = ValidationReport(
-        (Check("pairing", True, f"{len(out.edges)} spliced edges"),)
-    )
+    rep = passing("pairing", f"{len(out.edges)} spliced edges")
     return rep, artifacts.graph_to_dict(out)
 
 
@@ -218,17 +212,12 @@ def _dispatch(args) -> tuple[Report, int]:
     started = time.monotonic()
     try:
         rep, result = args.handler(args)
+        status, code = ("pass", 0) if rep.ok else ("fail", 1)
     except OplabError as exc:
-        elapsed = 0 if args.deterministic else int((time.monotonic() - started) * 1000)
-        report = Report(
-            "error",
-            (Check("error", False, f"{type(exc).__name__}: {exc}"),),
-            elapsed,
-        )
-        return report, 2
+        rep, result = failing("error", f"{type(exc).__name__}: {exc}"), None
+        status, code = "error", 2
     elapsed = 0 if args.deterministic else int((time.monotonic() - started) * 1000)
-    report = Report(_status(rep), rep.checks, elapsed, result)
-    return report, 0 if rep.ok else 1
+    return Report(status, rep.checks, elapsed, result), code
 
 
 def main(argv: list[str] | None = None) -> int:

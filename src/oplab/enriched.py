@@ -18,7 +18,7 @@ from .errors import (
 )
 from .graphs import Graph, GraphMorphism, LabelSet
 from .quantale import Quantale, reverse_quantale
-from .report import Check, Law, ValidationReport, check_laws, search_tables
+from .report import Law, ValidationReport, check_laws, failing, passing, search_tables
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,11 @@ def evaluate_morphism_inequality(c: EnrichedCategory, m: GraphMorphism) -> Valid
             c.hom_named(*m.source.edges[e]) for e in fib
         )
         if not q.le(value, bound):
-            return ValidationReport(
-                (
-                    Check(
-                        "algebra-condition",
-                        False,
-                        f"target edge {i} ({s},{t}): {q.elements[value]} > {q.elements[bound]}",
-                    ),
-                )
+            return failing(
+                "algebra-condition",
+                f"target edge {i} ({s},{t}): {q.elements[value]} > {q.elements[bound]}",
             )
-    return ValidationReport((Check("algebra-condition", True, f"{len(m.fibers)} target edges"),))
+    return passing("algebra-condition", f"{len(m.fibers)} target edges")
 
 
 @dataclass(frozen=True)
@@ -152,17 +147,12 @@ def is_enriched_functor(f: EnrichedFunctor) -> ValidationReport:
     for i in range(len(names)):
         for j in range(len(names)):
             if not q.le(f.source.hom[i][j], f.target.hom[i][j]):
-                return ValidationReport(
-                    (
-                        Check(
-                            "functor",
-                            False,
-                            f"hom({names[i]},{names[j]}): "
-                            f"{q.elements[f.source.hom[i][j]]} > {q.elements[f.target.hom[i][j]]}",
-                        ),
-                    )
+                return failing(
+                    "functor",
+                    f"hom({names[i]},{names[j]}): "
+                    f"{q.elements[f.source.hom[i][j]]} > {q.elements[f.target.hom[i][j]]}",
                 )
-    return ValidationReport((Check("functor", True, None),))
+    return passing("functor")
 
 
 def enumerate_categories(base: Quantale, objects: LabelSet) -> list[EnrichedCategory]:

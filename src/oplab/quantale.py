@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidLabels
-from .report import Check, ValidationReport
+from .report import ValidationReport, failing, passing
 
 LEFT = "left"
 RIGHT = "right"
@@ -90,35 +90,59 @@ class _Tables(NamedTuple):
     top: int
 
 
-@lru_cache(maxsize=256)
-def _lattice_tables(leq) -> _Tables | None:
-    """Binary joins and meets, bottom and top of an order table, found by
-    the `_least_upper`/`_greatest_lower` scans once per distinct table.
+def _decide_lattice(leq, names) -> _Tables | ValidationReport:
+    """The binary joins and meets, bottom and top of an order table, or a
+    failing report naming the first law it breaks, with `names` in the
+    witness.
 
-    None unless the table is a partial order with every binary join and
-    meet, a bottom and a top: only then does folding the binary tables
-    give what the scan gives on every tuple, so callers scan instead.
+    The order laws come first ("order": reflexivity, then per pair
+    antisymmetry and transitivity), then a binary join and meet per pair
+    ("lattice"). A finite nonempty partial order with every binary join
+    and meet has a bottom and a top, so those scans cannot fail.
     """
     k = len(leq)
     rng = range(k)
-    if _order_checks("order", rng, leq) is not None:
-        return None
-    joins = tuple(tuple(_least_upper(leq, (a, b), rng) for b in rng) for a in rng)
-    meets = tuple(tuple(_greatest_lower(leq, (a, b), rng) for b in rng) for a in rng)
-    bottom = _least_upper(leq, (), rng)
-    top = _greatest_lower(leq, (), rng)
-    if bottom is None or top is None or any(None in row for row in joins + meets):
-        return None
-    return _Tables(joins, meets, bottom, top)
+    for a in rng:
+        if not leq[a][a]:
+            return failing("order", f"not reflexive at {names[a]}")
+    for a in rng:
+        for b in rng:
+            if a != b and leq[a][b] and leq[b][a]:
+                return failing("order", f"not antisymmetric at ({names[a]},{names[b]})")
+            for c in rng:
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    return failing("order", f"not transitive at ({names[a]},{names[b]},{names[c]})")
+    joins = [[0] * k for _ in rng]
+    meets = [[0] * k for _ in rng]
+    for a in rng:
+        for b in rng:
+            joins[a][b] = _least_upper(leq, (a, b), rng)
+            if joins[a][b] is None:
+                return failing("lattice", f"no join of ({names[a]},{names[b]})")
+            meets[a][b] = _greatest_lower(leq, (a, b), rng)
+            if meets[a][b] is None:
+                return failing("lattice", f"no meet of ({names[a]},{names[b]})")
+    return _Tables(
+        tuple(map(tuple, joins)),
+        tuple(map(tuple, meets)),
+        _least_upper(leq, (), rng),
+        _greatest_lower(leq, (), rng),
+    )
+
+
+@lru_cache(maxsize=256)
+def _lattice_tables(leq) -> _Tables | None:
+    """`_decide_lattice` once per distinct order table; None unless the
+    table is a lattice, which is the only case where folding the binary
+    tables gives the join and meet of every tuple."""
+    out = _decide_lattice(leq, range(len(leq)))
+    return out if isinstance(out, _Tables) else None
 
 
 def _fold_join(order: Quantale | ModuleLattice, xs, missing: str) -> int:
     tables = order._lattice
     if tables is None:
-        out = _least_upper(order.leq, tuple(xs), range(len(order.leq)))
-        if out is None:
-            raise IndexOutOfRange(missing)
-        return out
+        raise IndexOutOfRange(missing)
     joins = tables.joins
     acc = tables.bottom
     for x in xs:
@@ -129,10 +153,7 @@ def _fold_join(order: Quantale | ModuleLattice, xs, missing: str) -> int:
 def _fold_meet(order: Quantale | ModuleLattice, xs, missing: str) -> int:
     tables = order._lattice
     if tables is None:
-        out = _greatest_lower(order.leq, tuple(xs), range(len(order.leq)))
-        if out is None:
-            raise IndexOutOfRange(missing)
-        return out
+        raise IndexOutOfRange(missing)
     meets = tables.meets
     acc = tables.top
     for x in xs:
@@ -149,82 +170,36 @@ def meet(q: Quantale, xs) -> int:
     return _fold_meet(q, xs, "meet does not exist; quantale not validated?")
 
 
-def _order_checks(name: str, elements, leq) -> Check | None:
-    k = len(elements)
-    rng = range(k)
-    for a in rng:
-        if not leq[a][a]:
-            return Check(name, False, f"not reflexive at {elements[a]}")
-    for a in rng:
-        for b in rng:
-            if a != b and leq[a][b] and leq[b][a]:
-                return Check(name, False, f"not antisymmetric at ({elements[a]},{elements[b]})")
-            for c in rng:
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    return Check(
-                        name, False, f"not transitive at ({elements[a]},{elements[b]},{elements[c]})"
-                    )
-    return None
-
-
-def _lattice_checks(name: str, elements, leq) -> Check | None:
-    k = len(elements)
-    rng = range(k)
-    for a in rng:
-        for b in rng:
-            if _least_upper(leq, (a, b), rng) is None:
-                return Check(name, False, f"no join of ({elements[a]},{elements[b]})")
-            if _greatest_lower(leq, (a, b), rng) is None:
-                return Check(name, False, f"no meet of ({elements[a]},{elements[b]})")
-    if _least_upper(leq, (), rng) is None:
-        return Check(name, False, "no bottom element")
-    if _greatest_lower(leq, (), rng) is None:
-        return Check(name, False, "no top element")
-    return None
-
-
 def validate_quantale(q: Quantale) -> ValidationReport:
     """Order, lattice, monoid, and two-sided join-distributivity checks.
 
     Binary joins plus the empty join suffice for join-continuity over a
     finite lattice, so those are what the distributivity check uses.
     """
+    if q._lattice is None:
+        return _decide_lattice(q.leq, q.elements)
     names = q.elements
-    bad = _order_checks("order", names, q.leq)
-    if bad:
-        return ValidationReport((bad,))
-    bad = _lattice_checks("lattice", names, q.leq)
-    if bad:
-        return ValidationReport((bad,))
     rng = range(q.size())
     for a in rng:
         for b in rng:
             for c in rng:
                 if q.mul(q.mul(a, b), c) != q.mul(a, q.mul(b, c)):
-                    return ValidationReport(
-                        (Check("associativity", False, f"({names[a]},{names[b]},{names[c]})"),)
-                    )
+                    return failing("associativity", f"({names[a]},{names[b]},{names[c]})")
     for a in rng:
         if q.mul(q.unit, a) != a or q.mul(a, q.unit) != a:
-            return ValidationReport((Check("unit", False, names[a]),))
+            return failing("unit", names[a])
     bot = join(q, ())
     for a in rng:
         if q.mul(a, bot) != bot or q.mul(bot, a) != bot:
-            return ValidationReport(
-                (Check("distributivity", False, f"bottom not absorbed at {names[a]}"),)
-            )
+            return failing("distributivity", f"bottom not absorbed at {names[a]}")
         for b in rng:
             for c in rng:
                 j = join(q, (b, c))
                 if q.mul(a, j) != join(q, (q.mul(a, b), q.mul(a, c))):
-                    return ValidationReport(
-                        (Check("distributivity", False, f"{names[a]}*({names[b]} v {names[c]})"),)
-                    )
+                    return failing("distributivity", f"{names[a]}*({names[b]} v {names[c]})")
                 if q.mul(j, a) != join(q, (q.mul(b, a), q.mul(c, a))):
-                    return ValidationReport(
-                        (Check("distributivity", False, f"({names[b]} v {names[c]})*{names[a]}"),)
-                    )
-    return ValidationReport((Check("quantale", True, f"{q.size()} elements"),))
+                    return failing("distributivity", f"({names[b]} v {names[c]})*{names[a]}")
+    return passing("quantale", f"{q.size()} elements")
 
 
 def residual_right(q: Quantale, a: int, b: int) -> int:
@@ -364,19 +339,15 @@ def module_top(m: ModuleLattice) -> int:
 
 def validate_module(m: ModuleLattice) -> ValidationReport:
     """Lattice plus exhaustive action axioms over the validated base."""
-    bad = _order_checks("order", m.elements, m.leq)
-    if bad:
-        return ValidationReport((bad,))
-    bad = _lattice_checks("lattice", m.elements, m.leq)
-    if bad:
-        return ValidationReport((bad,))
+    if m._lattice is None:
+        return _decide_lattice(m.leq, m.elements)
     q = m.base
     vrng = range(q.size())
     mrng = range(m.size())
     names = m.elements
     for x in mrng:
         if m.act(q.unit, x) != x:
-            return ValidationReport((Check("unit-action", False, names[x]),))
+            return failing("unit-action", names[x])
     for a in vrng:
         for b in vrng:
             for x in mrng:
@@ -385,38 +356,26 @@ def validate_module(m: ModuleLattice) -> ValidationReport:
                 else:
                     lhs, rhs = m.act(q.mul(a, b), x), m.act(b, m.act(a, x))
                 if lhs != rhs:
-                    return ValidationReport(
-                        (
-                            Check(
-                                "associativity",
-                                False,
-                                f"({q.elements[a]},{q.elements[b]},{names[x]})",
-                            ),
-                        )
-                    )
+                    return failing("associativity", f"({q.elements[a]},{q.elements[b]},{names[x]})")
     # The scalar variable is only required to preserve nonempty joins:
     # over the one-element quantale the bottom scalar is the unit, so a
     # nullary condition there would rule out every nontrivial module.
     mbot = module_join(m, ())
     for a in vrng:
         if m.act(a, mbot) != mbot:
-            return ValidationReport((Check("distributivity", False, f"{q.elements[a]}.bottom"),))
+            return failing("distributivity", f"{q.elements[a]}.bottom")
         for x in mrng:
             for y in mrng:
                 jm = module_join(m, (x, y))
                 if m.act(a, jm) != module_join(m, (m.act(a, x), m.act(a, y))):
-                    return ValidationReport(
-                        (Check("distributivity", False, f"{q.elements[a]}.({names[x]} v {names[y]})"),)
-                    )
+                    return failing("distributivity", f"{q.elements[a]}.({names[x]} v {names[y]})")
     for x in mrng:
         for a in vrng:
             for b in vrng:
                 jv = join(q, (a, b))
                 if m.act(jv, x) != module_join(m, (m.act(a, x), m.act(b, x))):
-                    return ValidationReport(
-                        (Check("distributivity", False, f"({q.elements[a]} v {q.elements[b]}).{names[x]}"),)
-                    )
-    return ValidationReport((Check("module", True, f"{m.size()} elements, {m.side}"),))
+                    return failing("distributivity", f"({q.elements[a]} v {q.elements[b]}).{names[x]}")
+    return passing("module", f"{m.size()} elements, {m.side}")
 
 
 def left_self_module(q: Quantale) -> ModuleLattice:
@@ -447,9 +406,7 @@ def transpose_module(m: ModuleLattice) -> ModuleLattice:
 
 
 def one_element_module(q: Quantale, side: str = LEFT) -> ModuleLattice:
-    table = ((0,),) * (q.size() if side == LEFT else 1)
-    if side == RIGHT:
-        table = ((0,) * q.size(),)
+    table = ((0,),) * q.size() if side == LEFT else ((0,) * q.size(),)
     return ModuleLattice(q, side, ("m",), ((True,),), table)
 
 

@@ -4,6 +4,7 @@ enumerators."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import SizeBoundExceeded, ValidationError
@@ -20,8 +21,9 @@ class Check:
 class ValidationReport:
     checks: tuple[Check, ...] = field(default_factory=tuple)
 
-    @property
+    @cached_property
     def ok(self) -> bool:
+        """Computed on the first read; a report's checks never change."""
         return all(c.ok for c in self.checks)
 
     def first_failure(self) -> Check | None:
@@ -38,9 +40,6 @@ class ValidationReport:
             detail = f" ({bad.witness})" if bad.witness else ""
             raise ValidationError(f"{where}{bad.name}{detail}")
         return self
-
-    def merged(self, other: ValidationReport) -> ValidationReport:
-        return ValidationReport(self.checks + other.checks)
 
 
 def passing(name: str, witness: str | None = None) -> ValidationReport:

@@ -52,7 +52,7 @@ from oplab.graphs import (
     underlying_pointed,
     validate_morphism,
 )
-from oplab.report import Check, failing, passing
+from oplab.report import Check, ValidationReport, failing, passing
 
 S = labelset("a", "b")
 SP = labelset("a", "b", pointed=True)
@@ -712,6 +712,16 @@ def test_passing_morphism_report_is_the_plain_pass():
     rep = validate_morphism(contract_path(S, ("a", "b", "a")))
     assert rep == passing("morphism")
     assert validate_morphism(identity_morphism(Graph(S, (("a", "b"),)))) == rep
+
+
+def test_report_verdict_computed_once():
+    # the walk reads `ok` on every candidate's report; reading it caches
+    # it without changing what the report equals, hashes to or prints as
+    rep, fresh = failing("x", "w"), failing("x", "w")
+    assert not rep.ok and "ok" in vars(rep)
+    assert rep == fresh and hash(rep) == hash(fresh) and repr(rep) == repr(fresh)
+    assert repr(rep) == "ValidationReport(checks=(Check(name='x', ok=False, witness='w'),))"
+    assert passing("y").ok and ValidationReport((Check("y", True), Check("x", False))).ok is False
 
 
 def test_operad_axioms_never_call_public_enumerator(monkeypatch):

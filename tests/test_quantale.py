@@ -34,6 +34,7 @@ from oplab.quantale import (
     validate_module,
     validate_quantale,
 )
+from oplab.report import Check
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -213,16 +214,17 @@ def _orders():
 
 @pytest.mark.parametrize("join_fn, meet_fn, order", _orders())
 def test_joins_and_meets_match_scan(join_fn, meet_fn, order):
+    # a lattice folds its tables, which must give what the scan gives;
+    # an order that is not one has no joins or meets at all
     rng = range(len(order.leq))
     for n in range(4):
         for xs in itertools.product(rng, repeat=n):
             for fn, scan in ((join_fn, quantale._least_upper), (meet_fn, quantale._greatest_lower)):
-                expected = scan(order.leq, xs, rng)
-                if expected is None:
+                if order._lattice is None:
                     with pytest.raises(IndexOutOfRange):
                         fn(order, xs)
                 else:
-                    assert fn(order, xs) == expected
+                    assert fn(order, xs) == scan(order.leq, xs, rng)
 
 
 def test_non_lattice_orders_get_no_tables():
@@ -242,3 +244,38 @@ def test_self_module_tables_built_once():
         assert module_join(m, (1, 2)) == 2 and module_meet(m, (1, 2)) == 1
     info = quantale._lattice_tables.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _gate_report(order):
+    return validate_quantale(order) if isinstance(order, Quantale) else validate_module(order)
+
+
+def test_lattice_gate_witnesses():
+    # the first order or lattice failure of every order that is not a lattice
+    found = [
+        (f.name, f.witness)
+        for _, _, order in _orders()
+        if (f := _gate_report(order).first_failure()) is not None
+        and f.name in ("order", "lattice")
+    ]
+    assert found == [
+        ("lattice", "no join of (x,y)"),
+        ("lattice", "no join of (x,y)"),
+        ("order", "not reflexive at x"),
+    ]
+    tables = {
+        "not antisymmetric at (x,y)": ((1, 1), (1, 1)),
+        # x <= y <= z without x <= z; (y,z) also breaks antisymmetry, later
+        "not transitive at (x,y,z)": ((1, 1, 0), (0, 1, 1), (0, 1, 1)),
+        "not transitive at (x,z,y)": ((1, 0, 1), (0, 1, 0), (0, 1, 1)),
+    }
+    for witness, leq in tables.items():
+        names = ("x", "y", "z")[: len(leq)]
+        rep = validate_module(module_over_trivial(names, leq))
+        assert rep.checks == (Check("order", False, witness),)
+    # x and y have a join (top) but no meet
+    top_xy = ((1, 0, 1), (0, 1, 1), (0, 0, 1))
+    rep = validate_module(module_over_trivial(("x", "y", "top"), top_xy))
+    assert rep.checks == (Check("lattice", False, "no meet of (x,y)"),)
+    q = Quantale(("x", "y", "top"), top_xy, ((2, 2, 2),) * 3, 2)
+    assert validate_quantale(q).checks == rep.checks

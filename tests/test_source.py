@@ -20,6 +20,33 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def _is_single_check_literal(node):
+    # ValidationReport((Check(...),)): passing and failing build these
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "ValidationReport"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Tuple)
+        and len(node.args[0].elts) == 1
+        and isinstance(node.args[0].elts[0], ast.Call)
+        and isinstance(node.args[0].elts[0].func, ast.Name)
+        and node.args[0].elts[0].func.id == "Check"
+    )
+
+
+def test_single_check_reports_built_by_passing_or_failing():
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "report.py")
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_single_check_literal(node)
+    ]
+    assert found == []
+
+
 def test_benchmark_measured_names_exist():
     # the lookups perfbench/tracer.py makes before a traced run, without wrapping
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
