@@ -651,8 +651,9 @@ def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     of every target is validated whole and counted per edge map, that is per
     pick. A pick's product multiplies, over its target edges, the validated
     count into that single edge at the mask it picked; those factors are
-    settled before the walk, so single-edge targets are validated once as
-    factors and once as whole targets. A nonzero product needs pairwise
+    settled before the walk. A single-edge target's whole count is its
+    factor, so the walk does not validate its candidates again: each is
+    validated once per source. A nonzero product needs pairwise
     disjoint masks that each have a path order, so the walk reaches its edge
     map. A mismatch is reported at the first failing target in objects
     order, at its least base map in lexicographic order.
@@ -677,12 +678,13 @@ def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
         def visit(edges, picks):
             nonlocal first, pairs_checked
             k, tgt = index[edges]
-            for _, masks, orders, product in picks:
-                edge_map = _pick_edge_map(n, masks)
-                whole = _validated_count(src, tgt, edge_map, orders)
-                if whole != product:
-                    bad = (k, _base_map(edge_map), whole, product)
-                    first = bad if first is None else min(first, bad)
+            if len(edges) != 1:
+                for _, masks, orders, product in picks:
+                    edge_map = _pick_edge_map(n, masks)
+                    whole = _validated_count(src, tgt, edge_map, orders)
+                    if whole != product:
+                        bad = (k, _base_map(edge_map), whole, product)
+                        first = bad if first is None else min(first, bad)
             pairs_checked += 1
             if len(edges) < depth:
                 for ep, pool, edge_factors in zip(alphabet, edge_pools, factors):

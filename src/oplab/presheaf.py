@@ -34,16 +34,25 @@ def _require_home(category: EnrichedCategory, module: ModuleLattice, side: str) 
 
 
 @dataclass(frozen=True)
-class Presheaf:
+class _ValueTable:
+    """One value per object of the category, in a module on the side that
+    each kind sets as `_side`. Equality also compares the kind, so a
+    presheaf never equals a copresheaf."""
+
     category: EnrichedCategory
     module: ModuleLattice
     values: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        _require_home(self.category, self.module, LEFT)
+        _require_home(self.category, self.module, self._side)
         if len(self.values) != len(self.category.objects.labels):
             raise UnknownObject("one value per object required")
+
+
+@dataclass(frozen=True)
+class Presheaf(_ValueTable):
+    _side = LEFT
 
     @property
     def is_self(self) -> bool:
@@ -51,16 +60,8 @@ class Presheaf:
 
 
 @dataclass(frozen=True)
-class Copresheaf:
-    category: EnrichedCategory
-    module: ModuleLattice
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        _require_home(self.category, self.module, RIGHT)
-        if len(self.values) != len(self.category.objects.labels):
-            raise UnknownObject("one value per object required")
+class Copresheaf(_ValueTable):
+    _side = RIGHT
 
 
 def presheaf_laws(c: EnrichedCategory, m: ModuleLattice) -> tuple[Law, ...]:
@@ -153,36 +154,33 @@ def tensor_action(f: Presheaf, a: int) -> Presheaf:
     return Presheaf(f.category, f.module, tuple(q.mul(v, a) for v in f.values))
 
 
-def join_presheaves(
-    fs, category: EnrichedCategory | None = None, module: ModuleLattice | None = None
-) -> Presheaf:
-    """Pointwise join; the empty family gives the constant bottom."""
+def _pointwise(fold, what: str, fs, category, module) -> Presheaf:
+    """Fold each object's values of a family of presheaves on one home; an
+    empty family needs its category and module given."""
     fs = list(fs)
     if fs:
         category, module = fs[0].category, fs[0].module
         for f in fs[1:]:
             _require_same_home(fs[0], f)
     elif category is None or module is None:
-        raise BaseMismatch("an empty join needs an explicit category and module")
+        raise BaseMismatch(f"an empty {what} needs an explicit category and module")
     k = len(category.objects.labels)
-    values = tuple(module_join(module, tuple(f.values[i] for f in fs)) for i in range(k))
+    values = tuple(fold(module, tuple(f.values[i] for f in fs)) for i in range(k))
     return Presheaf(category, module, values)
+
+
+def join_presheaves(
+    fs, category: EnrichedCategory | None = None, module: ModuleLattice | None = None
+) -> Presheaf:
+    """Pointwise join; the empty family gives the constant bottom."""
+    return _pointwise(module_join, "join", fs, category, module)
 
 
 def meet_presheaves(
     fs, category: EnrichedCategory | None = None, module: ModuleLattice | None = None
 ) -> Presheaf:
     """Pointwise meet; the empty family gives the constant top."""
-    fs = list(fs)
-    if fs:
-        category, module = fs[0].category, fs[0].module
-        for f in fs[1:]:
-            _require_same_home(fs[0], f)
-    elif category is None or module is None:
-        raise BaseMismatch("an empty meet needs an explicit category and module")
-    k = len(category.objects.labels)
-    values = tuple(module_meet(module, tuple(f.values[i] for f in fs)) for i in range(k))
-    return Presheaf(category, module, values)
+    return _pointwise(module_meet, "meet", fs, category, module)
 
 
 def density_decompose(f: Presheaf) -> list[Presheaf]:
@@ -233,7 +231,8 @@ class PresheafLattice:
     """All self-valued presheaves on a category, as a right module.
 
     Elements are ordered by value table; the right action is the tensor
-    action, and joins are pointwise.
+    action, and joins are pointwise. `representables` holds the index of
+    rep(c, x) for each object x, in object order.
     """
 
     def __init__(self, category: EnrichedCategory):
@@ -262,6 +261,9 @@ class PresheafLattice:
             for i in range(n)
         )
         self.bottom_index = self.index_of(join_presheaves([], category, left_self_module(q)))
+        self.representables = tuple(
+            self.index_of(rep(category, x)) for x in category.objects.labels
+        )
         self._laws: dict[ModuleLattice, tuple[Law, ...]] = {}
 
     def index_of(self, f: Presheaf) -> int:
@@ -281,13 +283,14 @@ def presheaf_lattice(c: EnrichedCategory) -> PresheafLattice:
 def yoneda_copresheaf(c: EnrichedCategory, lattice: PresheafLattice | None = None) -> Copresheaf:
     """The copresheaf X -> rep_X, valued in the presheaf lattice."""
     lattice = lattice if lattice is not None else presheaf_lattice(c)
-    values = tuple(lattice.index_of(rep(c, x)) for x in c.objects.labels)
-    return Copresheaf(c, lattice.module, values)
+    return Copresheaf(c, lattice.module, lattice.representables)
 
 
 @dataclass(frozen=True)
 class ModuleMap:
-    """A join-preserving, right-equivariant map out of the presheaf lattice."""
+    """A join-preserving, right-equivariant map out of the presheaf lattice.
+    Maps are equal only over the same lattice object: lattices compare by
+    identity."""
 
     lattice: PresheafLattice
     target: ModuleLattice
@@ -301,17 +304,6 @@ class ModuleMap:
             raise BaseMismatch("target module lives over a different quantale")
         if len(self.table) != self.lattice.size():
             raise UnknownObject("one value per presheaf required")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleMap)
-            and self.lattice is other.lattice
-            and self.target == other.target
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash((id(self.lattice), self.target, self.table))
 
 
 def modulemap_laws(lattice: PresheafLattice, n: ModuleLattice) -> tuple[Law, ...]:
@@ -361,9 +353,7 @@ def validate_modulemap(phi: ModuleMap) -> ValidationReport:
 def duality_to_copresheaf(phi: ModuleMap) -> Copresheaf:
     """Evaluate a module map on the representables."""
     lat = phi.lattice
-    c = lat.category
-    values = tuple(phi.table[lat.index_of(rep(c, x))] for x in c.objects.labels)
-    out = Copresheaf(c, phi.target, values)
+    out = Copresheaf(lat.category, phi.target, tuple(phi.table[i] for i in lat.representables))
     validate_copresheaf(out).require("duality_to_copresheaf")
     return out
 
@@ -415,39 +405,33 @@ def check_duality_bijection(c: EnrichedCategory, n: ModuleLattice) -> Validation
     lattice = presheaf_lattice(c)
     cops = enumerate_copresheaves(c, n)
     maps = enumerate_modulemaps(lattice, n)
-    checks = []
-    checks.append(
-        Check(
-            "counts-equal",
-            len(cops) == len(maps),
-            f"{len(cops)} copresheaves vs {len(maps)} module maps",
+    to_cop = duality_to_copresheaf
+
+    def to_map(g: Copresheaf) -> ModuleMap:
+        return duality_to_modulemap(g, lattice)
+
+    counts = f"{len(cops)} copresheaves vs {len(maps)} module maps"
+    return ValidationReport(
+        (
+            Check("counts-equal", len(cops) == len(maps), counts),
+            _round_trip("copresheaf-roundtrip", "copresheaf", "values", cops, to_map, to_cop),
+            _round_trip("modulemap-roundtrip", "module map", "table", maps, to_cop, to_map),
         )
     )
-    ok = True
-    witness = None
-    for g in cops:
+
+
+def _round_trip(name: str, kind: str, field: str, items, there, back) -> Check:
+    """Whether back(there(x)) == x for every item; the first item that fails
+    validation on the way, or comes back changed, is the witness, shown by
+    its `field`."""
+    for x in items:
         try:
-            back = duality_to_copresheaf(duality_to_modulemap(g, lattice))
+            y = back(there(x))
         except ValidationError as e:
-            ok, witness = False, f"copresheaf {g.values}: {e}"
-            break
-        if back != g:
-            ok, witness = False, f"copresheaf {g.values} returned as {back.values}"
-            break
-    checks.append(Check("copresheaf-roundtrip", ok, witness or f"{len(cops)} round trips"))
-    ok = True
-    witness = None
-    for phi in maps:
-        try:
-            back = duality_to_modulemap(duality_to_copresheaf(phi), lattice)
-        except ValidationError as e:
-            ok, witness = False, f"module map {phi.table}: {e}"
-            break
-        if back != phi:
-            ok, witness = False, f"module map {phi.table} returned as {back.table}"
-            break
-    checks.append(Check("modulemap-roundtrip", ok, witness or f"{len(maps)} round trips"))
-    return ValidationReport(tuple(checks))
+            return Check(name, False, f"{kind} {getattr(x, field)}: {e}")
+        if y != x:
+            return Check(name, False, f"{kind} {getattr(x, field)} returned as {getattr(y, field)}")
+    return Check(name, True, f"{len(items)} round trips")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +471,7 @@ def check_pointwise_limits(c: EnrichedCategory) -> ValidationReport:
     if len(presheaves) > 16:
         raise SizeBoundExceeded(f"{2 ** len(presheaves)} families exceed the family bound")
     module = left_self_module(c.base)
-    laws = presheaf_laws(c, module)
+    valid = {f.values for f in presheaves}
 
     def fails(family, what: str) -> ValidationReport:
         return failing("pointwise-limits", f"family {tuple(f.values for f in family)}: {what}")
@@ -497,7 +481,7 @@ def check_pointwise_limits(c: EnrichedCategory) -> ValidationReport:
         for family in itertools.combinations(presheaves, r):
             j = join_presheaves(family, c, module)
             m = meet_presheaves(family, c, module)
-            if not all(check_laws(laws, p.values, "presheaf-action").ok for p in (j, m)):
+            if j.values not in valid or m.values not in valid:
                 return fails(family, "join or meet fails to validate")
             for i, x in enumerate(c.objects.labels):
                 values = tuple(f.values[i] for f in family)
@@ -519,10 +503,10 @@ def check_pushforward(phi: EnrichedFunctor) -> ValidationReport:
     fs = enumerate_presheaves(c)
     gs = enumerate_presheaves(d)
     pulled = [pullback(phi, g) for g in gs]
-    laws = presheaf_laws(d, left_self_module(q))
+    valid = {g.values for g in gs}
     for f in fs:
         pf = pushforward(phi, f)
-        if not check_laws(laws, pf.values, "presheaf-action").ok:
+        if pf.values not in valid:
             return failing("pushforward", f"image of {f.values} invalid")
         for g, pg in zip(gs, pulled):
             if leq_presheaves(pf, g) != leq_presheaves(f, pg):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidLabels
@@ -17,8 +18,32 @@ LEFT = "left"
 RIGHT = "right"
 
 
+class _Ordered:
+    """What every ordered carrier reads of its `elements` and `leq` tables:
+    size, lookup by name, order, and the join/meet tables once asked for.
+    `_what` names an element in lookup errors."""
+
+    _what = "element"
+
+    def size(self) -> int:
+        return len(self.elements)
+
+    def index(self, name: str) -> int:
+        try:
+            return self.elements.index(name)
+        except ValueError:
+            raise IndexOutOfRange(f"no {self._what} named {name!r}") from None
+
+    def le(self, a: int, b: int) -> bool:
+        return self.leq[a][b]
+
+    @cached_property
+    def _lattice(self) -> _Tables | None:
+        return _lattice_tables(self.leq)
+
+
 @dataclass(frozen=True)
-class Quantale:
+class Quantale(_Ordered):
     elements: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
     tensor: tuple[tuple[int, ...], ...]
@@ -41,18 +66,6 @@ class Quantale:
         if not 0 <= self.unit < k:
             raise IndexOutOfRange("unit out of range")
 
-    def size(self) -> int:
-        return len(self.elements)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.elements.index(name)
-        except ValueError:
-            raise IndexOutOfRange(f"no element named {name!r}") from None
-
-    def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
-
     def mul(self, a: int, b: int) -> int:
         return self.tensor[a][b]
 
@@ -61,10 +74,6 @@ class Quantale:
         for x in xs:
             acc = self.tensor[acc][x]
         return acc
-
-    @cached_property
-    def _lattice(self) -> _Tables | None:
-        return _lattice_tables(self.leq)
 
 
 def _least_upper(leq, xs, universe) -> int | None:
@@ -139,35 +148,30 @@ def _lattice_tables(leq) -> _Tables | None:
     return out if isinstance(out, _Tables) else None
 
 
-def _fold_join(order: Quantale | ModuleLattice, xs, missing: str) -> int:
+_JOINS = attrgetter("joins", "bottom")
+_MEETS = attrgetter("meets", "top")
+
+
+def _fold(order: _Ordered, xs, side, missing: str) -> int:
+    """Fold xs through the binary table that `side` (_JOINS or _MEETS)
+    picks from the order's tables, starting at its unit; an order without
+    tables raises with `missing`."""
     tables = order._lattice
     if tables is None:
         raise IndexOutOfRange(missing)
-    joins = tables.joins
-    acc = tables.bottom
+    table, acc = side(tables)
     for x in xs:
-        acc = joins[acc][x]
-    return acc
-
-
-def _fold_meet(order: Quantale | ModuleLattice, xs, missing: str) -> int:
-    tables = order._lattice
-    if tables is None:
-        raise IndexOutOfRange(missing)
-    meets = tables.meets
-    acc = tables.top
-    for x in xs:
-        acc = meets[acc][x]
+        acc = table[acc][x]
     return acc
 
 
 def join(q: Quantale, xs) -> int:
     """Least upper bound; the empty join is the bottom element."""
-    return _fold_join(q, xs, "join does not exist; quantale not validated?")
+    return _fold(q, xs, _JOINS, "join does not exist; quantale not validated?")
 
 
 def meet(q: Quantale, xs) -> int:
-    return _fold_meet(q, xs, "meet does not exist; quantale not validated?")
+    return _fold(q, xs, _MEETS, "meet does not exist; quantale not validated?")
 
 
 def validate_quantale(q: Quantale) -> ValidationReport:
@@ -276,12 +280,14 @@ def make_builtin(kind: str, n: int | None = None) -> Quantale:
 
 
 @dataclass(frozen=True)
-class ModuleLattice:
+class ModuleLattice(_Ordered):
     base: Quantale
     side: str
     elements: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
     action: tuple[tuple[int, ...], ...]
+
+    _what = "module element"
 
     def __post_init__(self):
         if self.side not in (LEFT, RIGHT):
@@ -300,33 +306,17 @@ class ModuleLattice:
                 if not 0 <= x < k:
                     raise IndexOutOfRange(f"action entry {x} out of range")
 
-    def size(self) -> int:
-        return len(self.elements)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.elements.index(name)
-        except ValueError:
-            raise IndexOutOfRange(f"no module element named {name!r}") from None
-
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
-
     def act(self, a: int, x: int) -> int:
         """Left action a.x, or right action x.a when side is right."""
         return self.action[a][x] if self.side == LEFT else self.action[x][a]
 
-    @cached_property
-    def _lattice(self) -> _Tables | None:
-        return _lattice_tables(self.leq)
-
 
 def module_join(m: ModuleLattice, xs) -> int:
-    return _fold_join(m, xs, "module join does not exist")
+    return _fold(m, xs, _JOINS, "module join does not exist")
 
 
 def module_meet(m: ModuleLattice, xs) -> int:
-    return _fold_meet(m, xs, "module meet does not exist")
+    return _fold(m, xs, _MEETS, "module meet does not exist")
 
 
 def module_bottom(m: ModuleLattice) -> int:

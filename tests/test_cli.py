@@ -71,6 +71,28 @@ def test_invalid_artifact_exits_two(tmp_path):
     assert "associativity" in report.checks[0].witness
 
 
+@pytest.mark.parametrize(
+    "kind, fixture, field, value",
+    [
+        ("category", "preorder.json", "hom", [["1", "1"], ["0", "1"]]),
+        ("quantale", "boolean.json", "leq", 5),
+        ("quantale", "boolean.json", "unit", ["1"]),
+        ("morphism", "morphism.json", "edge_map", ["x"]),
+        ("morphism", "morphism.json", "fibers", [[1]]),
+    ],
+    ids=["hom-list", "leq-int", "unit-list", "edge-map-str", "fibers-list"],
+)
+def test_malformed_field_exits_two(tmp_path, kind, fixture, field, value):
+    data = json.loads((FIXTURES / fixture).read_text())
+    data[field] = value
+    (tmp_path / "boolean.json").write_text((FIXTURES / "boolean.json").read_text())
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(data))
+    report, code = run(["validate", kind, str(bad)])
+    assert (report.status, code) == ("error", 2)
+    assert report.checks[0].witness.startswith("SchemaError: "), report.checks[0].witness
+
+
 def test_missing_reference_exits_two(tmp_path):
     orphan = tmp_path / "presheaf.json"
     orphan.write_text(

@@ -7,6 +7,7 @@ from oplab.enriched import (
     EnrichedCategory,
     EnrichedFunctor,
     enumerate_categories,
+    is_enriched_functor,
     trivial_category,
     validate_category,
 )
@@ -53,6 +54,7 @@ from oplab.quantale import (
     left_self_module,
     lukasiewicz,
     module_join,
+    module_meet,
     module_over_trivial,
     module_top,
     noncommutative_chain4,
@@ -61,7 +63,7 @@ from oplab.quantale import (
     trivial_quantale,
     validate_module,
 )
-from oplab.report import TABLE_BOUND, Check, Law, ValidationReport, search_tables
+from oplab.report import TABLE_BOUND, Check, Law, ValidationReport, check_laws, search_tables
 
 S = labelset("x", "y")
 BOOL = boolean_quantale()
@@ -660,3 +662,193 @@ def test_suite_refusals_still_raise():
         check_pointwise_limits(_discrete(LUK3, 3))
     with pytest.raises(ValidationError):
         check_pushforward(EnrichedFunctor(CODISCRETE, PREORDER))
+
+
+# --- failure branches of the pointwise-limits and pushforward suites ---------
+
+NC4_CAT = EnrichedCategory(noncommutative_chain4(), S, ((3, 0), (2, 3)))
+CRITERION_CATS = BOOL_CATS + [
+    trivial_category(LUK3, S),
+    METRIC,
+    EnrichedCategory(LUK3, S, ((3, 0), (3, 3))),
+    EnrichedCategory(LUK3, S, ((3, 2), (2, 3))),
+]
+
+
+def _reversed(build):
+    """Wrap a presheaf-valued function so its values come out in reverse object order."""
+
+    def patched(*args):
+        out = build(*args)
+        return Presheaf(out.category, out.module, out.values[::-1])
+
+    return patched
+
+
+def _scalar_on_left(orig):
+    """The tensor action multiplying by the scalar on the wrong side, a*F(X)."""
+
+    def patched(f, a):
+        q = f.category.base
+        return Presheaf(f.category, f.module, tuple(q.mul(a, v) for v in f.values))
+
+    return patched
+
+
+def _free_from_row(orig):
+    """Free presheaves read hom(x, Y), the row, instead of hom(Y, x)."""
+
+    def patched(c, x, m_elt, module=None):
+        module = module if module is not None else left_self_module(c.base)
+        row = c.hom[c.obj_index(x)]
+        return Presheaf(c, module, tuple(module.act(v, m_elt) for v in row))
+
+    return patched
+
+
+def _reference_check_pointwise_limits(c):
+    """check_pointwise_limits re-validating each join and meet with check_laws."""
+    presheaves = presheaf.enumerate_presheaves(c)
+    module = left_self_module(c.base)
+    laws = presheaf.presheaf_laws(c, module)
+
+    def fails(family, what):
+        return ValidationReport(
+            (Check("pointwise-limits", False, f"family {tuple(f.values for f in family)}: {what}"),)
+        )
+
+    families = 0
+    for r in range(len(presheaves) + 1):
+        for family in itertools.combinations(presheaves, r):
+            j = presheaf.join_presheaves(family, c, module)
+            m = presheaf.meet_presheaves(family, c, module)
+            if not all(check_laws(laws, p.values, "presheaf-action").ok for p in (j, m)):
+                return fails(family, "join or meet fails to validate")
+            for i, x in enumerate(c.objects.labels):
+                values = tuple(f.values[i] for f in family)
+                if j.values[i] != module_join(module, values):
+                    return fails(family, f"join not pointwise at {x}")
+                if m.values[i] != module_meet(module, values):
+                    return fails(family, f"meet not pointwise at {x}")
+            families += 1
+    return ValidationReport((Check("pointwise-limits", True, f"{families} families"),))
+
+
+def _reference_check_pushforward(phi):
+    """check_pushforward re-validating each image with check_laws."""
+    c, d = phi.source, phi.target
+    q = c.base
+    fs = presheaf.enumerate_presheaves(c)
+    gs = presheaf.enumerate_presheaves(d)
+    pulled = [presheaf.pullback(phi, g) for g in gs]
+    laws = presheaf.presheaf_laws(d, left_self_module(q))
+
+    def fails(what):
+        return ValidationReport((Check("pushforward", False, what),))
+
+    for f in fs:
+        pf = presheaf.pushforward(phi, f)
+        if not check_laws(laws, pf.values, "presheaf-action").ok:
+            return fails(f"image of {f.values} invalid")
+        for g, pg in zip(gs, pulled):
+            if leq_presheaves(pf, g) != leq_presheaves(f, pg):
+                return fails(f"adjunction fails at {f.values}, {g.values}")
+        for a in range(q.size()):
+            if presheaf.pushforward(phi, presheaf.tensor_action(f, a)) != presheaf.tensor_action(pf, a):
+                return fails(f"not equivariant at {f.values}, {q.elements[a]}")
+    for x in c.objects.labels:
+        for a in range(q.size()):
+            if presheaf.pushforward(phi, presheaf.free_presheaf(c, x, a)) != presheaf.free_presheaf(d, x, a):
+                return fails(f"free presheaf at ({x},{q.elements[a]}) not preserved")
+    return ValidationReport((Check("pushforward", True, f"{len(fs)} presheaves against {len(gs)}"),))
+
+
+def test_pointwise_limits_reports_invalid_join(monkeypatch):
+    monkeypatch.setattr(presheaf, "join_presheaves", _reversed(presheaf.join_presheaves))
+    assert check_pointwise_limits(PREORDER).checks == (
+        Check("pointwise-limits", False, "family ((1, 0),): join or meet fails to validate"),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, wrap, phi, witness",
+    [
+        ("pushforward", _reversed, EnrichedFunctor(PREORDER, PREORDER), "image of (1, 0) invalid"),
+        ("tensor_action", _scalar_on_left, EnrichedFunctor(NC4_CAT, NC4_CAT), "not equivariant at (3, 2), 1"),
+        (
+            "free_presheaf",
+            _free_from_row,
+            EnrichedFunctor(PREORDER, PREORDER),
+            "free presheaf at (y,1) not preserved",
+        ),
+    ],
+    ids=["image-reversed", "scalar-on-left", "free-from-row"],
+)
+def test_pushforward_reports_seeded_branch(monkeypatch, name, wrap, phi, witness):
+    monkeypatch.setattr(presheaf, name, wrap(getattr(presheaf, name)))
+    assert check_pushforward(phi).checks == (Check("pushforward", False, witness),)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        None,
+        ("join_presheaves", _reversed),
+        ("pushforward", _reversed),
+        ("tensor_action", _scalar_on_left),
+        ("free_presheaf", _free_from_row),
+    ],
+    ids=["clean", "join-reversed", "image-reversed", "scalar-on-left", "free-from-row"],
+)
+def test_membership_checks_match_law_reference(monkeypatch, defect):
+    # a computed presheaf validates iff its table is among the enumerated ones
+    if defect is not None:
+        name, wrap = defect
+        monkeypatch.setattr(presheaf, name, wrap(getattr(presheaf, name)))
+    for c in CRITERION_CATS + [NC4_CAT]:
+        assert check_pointwise_limits(c) == _reference_check_pointwise_limits(c), c.hom
+        phi = EnrichedFunctor(c, c)
+        assert check_pushforward(phi) == _reference_check_pushforward(phi), c.hom
+    for c in BOOL_CATS:
+        for d in BOOL_CATS:
+            phi = EnrichedFunctor(c, d)
+            if is_enriched_functor(phi).ok:
+                assert check_pushforward(phi) == _reference_check_pushforward(phi), (c.hom, d.hom)
+
+
+# --- value semantics ---------------------------------------------------------
+
+
+def test_module_maps_compare_by_lattice_identity():
+    n = right_self_module(BOOL)
+    lat = presheaf_lattice(PREORDER)
+    table = tuple(ev(f, "x") for f in lat.presheaves)
+    a, b = ModuleMap(lat, n, table), ModuleMap(lat, n, list(table))
+    assert a == b and hash(a) == hash(b)
+    assert ModuleMap(presheaf_lattice(PREORDER), n, table) != a
+    assert repr(a) == f"ModuleMap(lattice={lat!r}, target={n!r}, table={table!r})"
+
+
+def test_presheaf_never_equals_copresheaf():
+    m = left_self_module(BOOL)
+    f = Presheaf(PREORDER, m, (1, 0))
+    g = object.__new__(Copresheaf)
+    for name in ("category", "module", "values"):
+        object.__setattr__(g, name, getattr(f, name))
+    assert f != g and g != f
+    assert f == Presheaf(PREORDER, m, [1, 0]) and hash(f) == hash(Presheaf(PREORDER, m, (1, 0)))
+    assert repr(f) == f"Presheaf(category={PREORDER!r}, module={m!r}, values=(1, 0))"
+    n = right_self_module(BOOL)
+    cop = Copresheaf(PREORDER, n, (0, 1))
+    assert repr(cop) == f"Copresheaf(category={PREORDER!r}, module={n!r}, values=(0, 1))"
+
+
+def test_ordered_carrier_reprs():
+    assert repr(BOOL) == (
+        "Quantale(elements=('0', '1'), leq=((True, True), (False, True)), "
+        "tensor=((0, 0), (0, 1)), unit=1)"
+    )
+    assert repr(right_self_module(BOOL)) == (
+        f"ModuleLattice(base={BOOL!r}, side='right', elements=('0', '1'), "
+        "leq=((True, True), (False, True)), action=((0, 0), (0, 1)))"
+    )
