@@ -10,6 +10,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     InvalidBound,
@@ -62,6 +63,18 @@ class LabeledSimplex:
     def dim(self) -> int:
         return len(self.chain) - 1
 
+    # The chain's path graphs, built once per chain: the path image, and
+    # the left-module paths at levels 0 and 1 over the pointed labels.
+
+    @cached_property
+    def _cut(self) -> Graph:
+        return path_graph(self.labels, self.chain)
+
+    @cached_property
+    def _lcuts(self) -> tuple[Graph, Graph]:
+        pointed = LabelSet(self.labels.labels, True)
+        return path_graph(pointed, self.chain + (STAR,)), path_graph(pointed, self.chain)
+
 
 @dataclass(frozen=True)
 class DeltaOpMorphism:
@@ -102,7 +115,7 @@ def compose_delta(m: DeltaOpMorphism, m2: DeltaOpMorphism) -> DeltaOpMorphism:
 
 def cut_object(x: LabeledSimplex) -> Graph:
     """The path graph of consecutive pairs of the chain."""
-    return path_graph(x.labels, x.chain)
+    return x._cut
 
 
 def cut_morphism(m: DeltaOpMorphism) -> GraphMorphism:
@@ -140,18 +153,12 @@ def classify_delta(m: DeltaOpMorphism) -> DeltaClass:
     return DeltaClass.OTHER
 
 
-def _pointed_view(labels: LabelSet) -> LabelSet:
-    return LabelSet(labels.labels, True)
-
-
 def lcut(x: LabeledSimplex, level: int) -> Graph:
     """Left-module path of a chain: level 1 is the plain path, level 0
     appends a final edge into the basepoint."""
     if level not in (0, 1):
         raise InvalidLabels("level must be 0 or 1")
-    plabels = _pointed_view(x.labels)
-    chain = x.chain + ((STAR,) if level == 0 else ())
-    return path_graph(plabels, chain)
+    return x._lcuts[level]
 
 
 def structural_inert(x: LabeledSimplex) -> GraphMorphism:
@@ -289,19 +296,22 @@ class _HomCache:
     """Memoized hom-sets between chains and between their path images, and
     the path image of each chain morphism.
 
-    One cache serves one approximation suite; every entry is computed by
-    the public enumerators and by ``cut_morphism``.
+    One cache serves one approximation suite, so every chain has the same
+    labels and is keyed by its entries alone, and a chain morphism by its
+    chains and index map. Every entry is computed by the public
+    enumerators and by ``cut_morphism``.
     """
 
     def __init__(self):
         self.delta: dict[tuple, list[DeltaOpMorphism]] = {}
         self.cuts: dict[tuple, list[GraphMorphism]] = {}
-        self.cut_of: dict[DeltaOpMorphism, GraphMorphism] = {}
+        self.cut_of: dict[tuple, GraphMorphism] = {}
 
     def cut(self, m: DeltaOpMorphism) -> GraphMorphism:
-        if m not in self.cut_of:
-            self.cut_of[m] = cut_morphism(m)
-        return self.cut_of[m]
+        key = (m.source.chain, m.target.chain, m.underlying)
+        if key not in self.cut_of:
+            self.cut_of[key] = cut_morphism(m)
+        return self.cut_of[key]
 
     def delta_homs(self, a: LabeledSimplex, b: LabeledSimplex):
         key = (a.chain, b.chain)
@@ -319,9 +329,10 @@ class _HomCache:
         return self.cuts[key]
 
 
-def _check_cartesian_lifts(labels: LabelSet, simplices, graph_pool) -> Check:
+def _check_cartesian_lifts(simplices, graph_pool) -> Check:
     lifts = 0
     cache = _HomCache()
+    universal_ok: set[DeltaOpMorphism] = set()
     for y in simplices:
         for phi in _actives_into(graph_pool, y):
             source, lift = cartesian_lift(y, phi)
@@ -331,9 +342,12 @@ def _check_cartesian_lifts(labels: LabelSet, simplices, graph_pool) -> Check:
                     return Check(
                         "cartesian-lifts", False, f"{y.chain}: lift does not cut back to the input"
                     )
-            universal = _check_universal(simplices, y, source, lift, cache)
-            if universal is not None:
-                return universal
+            # the universal property depends on the lift alone
+            if lift not in universal_ok:
+                universal = _check_universal(simplices, y, source, lift, cache)
+                if universal is not None:
+                    return universal
+                universal_ok.add(lift)
             lifts += 1
     return Check("cartesian-lifts", True, f"{lifts} active morphisms lifted")
 
@@ -346,24 +360,38 @@ def _check_universal(simplices, y, xbar, lift, cache: _HomCache) -> Check | None
     h;lift = h0 and cut(h) = psi. Pairs are tested h0-major, psi in
     enumeration order, and the first failing pair is the witness.
 
-    Every psi runs cut(z) -> cut(xbar), so every composite psi;cut(lift)
-    and every cut(h0) runs cut(z) -> cut(y). Grouping the psis by
-    composite therefore yields, for each h0, exactly the psis the pairwise
-    scan would accept, in the same order; and counting each h under the
-    key (h;lift, cut(h)) yields exactly the number of matches that scan
-    would find for (h0, psi).
+    Within one z, every psi and every cut(h) runs cut(z) -> cut(xbar),
+    every h0 runs z -> y and every cut(h0) runs cut(z) -> cut(y), so the
+    keys hold index data only. The psis are grouped by the (edge map,
+    fibers) of psi;cut(lift), and each h is counted under (index map of
+    h;lift, edge map and fibers of cut(h)). A composite psi;cut(lift) that
+    does not run cut(z) -> cut(y), or an h;lift that does not run z -> y,
+    equals no cut(h0) or h0: it is skipped, as the pairwise scan's full
+    comparison would skip it. Each h0 then finds exactly the psis the scan
+    would accept, in the same order, and each count is the number of
+    matches the scan would find for (h0, psi).
     """
     cut_lift = cache.cut(lift)
+    cut_y = cut_object(y)
     for z in simplices:
-        by_composite: dict[GraphMorphism, list[GraphMorphism]] = {}
+        cut_z = cut_object(z)
+        by_composite: dict[tuple, list[tuple]] = {}
         for psi in cache.cut_homs(z, xbar):
-            by_composite.setdefault(compose_graph_morphisms(psi, cut_lift), []).append(psi)
-        factorizations = Counter(
-            (compose_delta(h, lift), cache.cut(h)) for h in cache.delta_homs(z, xbar)
-        )
+            composite = compose_graph_morphisms(psi, cut_lift)
+            if composite.source == cut_z and composite.target == cut_y:
+                by_composite.setdefault((composite.edge_map, composite.fibers), []).append(
+                    (psi.edge_map, psi.fibers)
+                )
+        factorizations: Counter[tuple] = Counter()
+        for h in cache.delta_homs(z, xbar):
+            through = compose_delta(h, lift)
+            if through.source == z and through.target == y:
+                cut_h = cache.cut(h)
+                factorizations[through.underlying, cut_h.edge_map, cut_h.fibers] += 1
         for h0 in cache.delta_homs(z, y):
-            for psi in by_composite.get(cache.cut(h0), ()):
-                count = factorizations[h0, psi]
+            cut_h0 = cache.cut(h0)
+            for edge_map, fibers in by_composite.get((cut_h0.edge_map, cut_h0.fibers), ()):
+                count = factorizations[h0.underlying, edge_map, fibers]
                 if count != 1:
                     return Check(
                         "cartesian-universal",
@@ -430,7 +458,7 @@ def check_approximation(labels: LabelSet, max_dim: int) -> ValidationReport:
     pool = enumerate_objects(OperadTag.ASSOC, labels, max_dim)
     checks = (
         _check_inert_chain_lifts(simplices),
-        _check_cartesian_lifts(labels, simplices, pool),
+        _check_cartesian_lifts(simplices, pool),
         _check_strongness(labels, simplices),
         _check_lcut_marking(simplices),
     )

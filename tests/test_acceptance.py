@@ -135,7 +135,15 @@ def test_criterion_2_strong_approximation():
                         if classify_graph_morphism(cm) in (MapClass.ACTIVE, MapClass.BOTH):
                             assert cartesian_lift(b, cm) == (a, m)
                             lifted += 1
-        return f"{lifted} exact lift round-trips"
+        rep_ = check_approximation(labelset("a"), 4)
+        assert rep_.ok, rep_.first_failure()
+        assert [c.witness for c in rep_.checks] == [
+            "5 chains",
+            "1609 active morphisms lifted",
+            "1 labels; 1 single-edge graphs",
+            "456 chain morphisms",
+        ]
+        return f"{lifted} exact lift round-trips; {{a}} at max_dim 4: 1609 active morphisms lifted"
 
     _report(2, "strong approximation", 30, body)
 

@@ -1,3 +1,6 @@
+import inspect
+from collections import Counter
+
 import pytest
 
 from oplab import simplex
@@ -286,3 +289,71 @@ def test_approximation_reports_seeded_defect(monkeypatch, defect):
     seed(monkeypatch)
     rep = check_approximation(labelset("a"), 3)
     assert Check("cartesian-universal", False, witness) in rep.checks
+
+
+# ---------------------------------------------------------------------------
+# Each distinct lift is decided once; the per-phi loop is the reference.
+
+
+def _per_phi_check_cartesian_lifts(simplices, graph_pool):
+    """Reference: decide the universal property again for every active phi."""
+    lifts = 0
+    cache = simplex._HomCache()
+    for y in simplices:
+        for phi in simplex._actives_into(graph_pool, y):
+            source, lift = simplex.cartesian_lift(y, phi)
+            order = [e for fib in phi.fibers for e in fib]
+            if order == sorted(order) and simplex.cut_morphism(lift) != phi:
+                return Check("cartesian-lifts", False, f"{y.chain}: lift does not cut back to the input")
+            universal = simplex._check_universal(simplices, y, source, lift, cache)
+            if universal is not None:
+                return universal
+            lifts += 1
+    return Check("cartesian-lifts", True, f"{lifts} active morphisms lifted")
+
+
+@pytest.mark.parametrize("defect", [None, *DEFECTS])
+def test_lift_memo_matches_per_phi_loop(monkeypatch, defect):
+    if defect is not None:
+        DEFECTS[defect][0](monkeypatch)
+    for labels in (labelset("a"), S):
+        for max_dim in range(3):
+            shipped = check_approximation(labels, max_dim)
+            with monkeypatch.context() as m:
+                m.setattr(simplex, "_check_cartesian_lifts", _per_phi_check_cartesian_lifts)
+                reference = check_approximation(labels, max_dim)
+            assert shipped == reference
+
+
+@pytest.mark.parametrize("labels, max_dim, distinct", [(("a",), 3, 35), (("a", "b"), 2, 50)])
+def test_universal_decided_once_per_lift(monkeypatch, labels, max_dim, distinct):
+    real = simplex._check_universal
+    lifts = []
+
+    def counting(simplices, y, xbar, lift, cache):
+        lifts.append(lift)
+        return real(simplices, y, xbar, lift, cache)
+
+    monkeypatch.setattr(simplex, "_check_universal", counting)
+    assert check_approximation(labelset(*labels), max_dim).ok
+    assert len(lifts) == len(set(lifts)) == distinct
+
+
+def test_each_chain_builds_each_path_graph_once(monkeypatch):
+    # path graphs are built only by the chain that owns them; count per
+    # chain object (kept alive, so ids stay distinct) and per level
+    real = simplex.path_graph
+    owners = []
+    built = Counter()
+
+    def counting(labels, chain):
+        owner = inspect.currentframe().f_back.f_locals.get("self")
+        assert isinstance(owner, LabeledSimplex)
+        owners.append(owner)
+        level = "cut" if not labels.pointed else ("lcut-0" if chain[-1] == STAR else "lcut-1")
+        built[id(owner), level] += 1
+        return real(labels, chain)
+
+    monkeypatch.setattr(simplex, "path_graph", counting)
+    assert check_approximation(S, 2).ok
+    assert built and max(built.values()) == 1
