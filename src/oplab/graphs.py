@@ -34,6 +34,21 @@ STAR = "*"
 DEFAULT_EDGE_BOUND = 6
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given,
+    without running its __post_init__.
+
+    Only for fields that are valid by construction and already in the form
+    __post_init__ would store (tuples, edges as tuples): composites, cuts
+    and splices of valid objects, and candidates built from index ranges.
+    The instance equals, hashes and prints like the one the public
+    constructor builds from the same fields.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class LabelSet:
     labels: tuple[str, ...]
@@ -138,6 +153,14 @@ def tag_labels(tag: OperadTag, labels: LabelSet) -> LabelSet:
 
 @dataclass(frozen=True)
 class GraphMorphism:
+    """Edge map and ordered fibers between two graphs.
+
+    The public constructor checks every index range, and the io loaders
+    also run validate_morphism. Morphisms that oplab builds internally
+    from valid ones (composites, pairings, path images, enumeration
+    candidates) are valid by construction and skip these checks.
+    """
+
     source: Graph
     target: Graph
     edge_map: tuple[int | None, ...]
@@ -158,6 +181,19 @@ class GraphMorphism:
             for e in fib:
                 if not 0 <= e < n:
                     raise IndexOutOfRange(f"fiber entry {e} outside source")
+
+    @cached_property
+    def _class(self) -> MapClass:
+        """Inert when every fiber is one edge, active when no edge is deleted."""
+        inert = all(len(fib) == 1 for fib in self.fibers)
+        active = all(v is not None for v in self.edge_map)
+        if inert and active:
+            return MapClass.BOTH
+        if inert:
+            return MapClass.INERT
+        if active:
+            return MapClass.ACTIVE
+        return MapClass.NEITHER
 
 
 def identity_morphism(g: Graph) -> GraphMorphism:
@@ -232,7 +268,7 @@ def compose_graph_morphisms(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism
         tuple(e for mid in g.fibers[i] for e in f.fibers[mid])
         for i in range(len(g.target.edges))
     )
-    return GraphMorphism(f.source, g.target, edge_map, fibers)
+    return _unchecked(GraphMorphism, source=f.source, target=g.target, edge_map=edge_map, fibers=fibers)
 
 
 def tensor_graphs(a: Graph, b: Graph) -> Graph:
@@ -252,15 +288,8 @@ def tensor_morphisms(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
 
 
 def classify_graph_morphism(m: GraphMorphism) -> MapClass:
-    inert = all(len(fib) == 1 for fib in m.fibers)
-    active = all(v is not None for v in m.edge_map)
-    if inert and active:
-        return MapClass.BOTH
-    if inert:
-        return MapClass.INERT
-    if active:
-        return MapClass.ACTIVE
-    return MapClass.NEITHER
+    """The morphism's class, decided once per morphism object."""
+    return m._class
 
 
 def factorize_graph_morphism(m: GraphMorphism) -> tuple[GraphMorphism, GraphMorphism]:
@@ -389,10 +418,10 @@ def codiagonal(s: LabelSet) -> dict[str, str]:
     return out
 
 
-def _splice(g0: Graph, g1: Graph) -> tuple[Graph, list[int | None]]:
-    """The pairing of g0 and g1, and the position in it of each edge pair:
-    the pair (i0, i1) sits at index i0 * len(g1.edges) + i1, None when the
-    pairing drops it."""
+def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, list[int | None]]:
+    """The pairing of g0 and g1, labeled by labels (their pairing_labels),
+    and the position in it of each edge pair: the pair (i0, i1) sits at
+    index i0 * len(g1.edges) + i1, None when the pairing drops it."""
     left_modular, left = g0._as_left
     if not left_modular:
         raise NotLeftModular("left argument has an edge out of the basepoint")
@@ -412,7 +441,7 @@ def _splice(g0: Graph, g1: Graph) -> tuple[Graph, list[int | None]]:
                 continue
             positions.append(len(edges))
             edges.append(edge)
-    return Graph(pairing_labels(g0.labels, g1.labels), tuple(edges)), positions
+    return _unchecked(Graph, labels=labels, edges=tuple(edges)), positions
 
 
 def pairing(g0: Graph, g1: Graph) -> Graph:
@@ -423,7 +452,7 @@ def pairing(g0: Graph, g1: Graph) -> Graph:
     basepoint-to-basepoint pair runs from the source of e0 to the target
     of e1. Pairs come in g0-major positional order.
     """
-    return _splice(g0, g1)[0]
+    return _splice(g0, g1, pairing_labels(g0.labels, g1.labels))[0]
 
 
 def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
@@ -432,8 +461,13 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
         raise NotInert("left morphism is not inert")
     if classify_graph_morphism(m1) not in (MapClass.INERT, MapClass.BOTH):
         raise NotInert("right morphism is not inert")
-    source, src_pos = _splice(m0.source, m1.source)
-    target, tgt_pos = _splice(m0.target, m1.target)
+    labels = pairing_labels(m0.source.labels, m1.source.labels)
+    if (m0.target.labels, m1.target.labels) == (m0.source.labels, m1.source.labels):
+        target_labels = labels
+    else:
+        target_labels = pairing_labels(m0.target.labels, m1.target.labels)
+    source, src_pos = _splice(m0.source, m1.source, labels)
+    target, tgt_pos = _splice(m0.target, m1.target, target_labels)
     width, tgt_width = len(m1.source.edges), len(m1.target.edges)
     edge_map: list[int | None] = [None] * len(source.edges)
     fibers: list[tuple[int, ...]] = [()] * len(target.edges)
@@ -451,7 +485,9 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
                 )
             edge_map[k] = v
             fibers[v] = (k,)
-    return GraphMorphism(source, target, tuple(edge_map), tuple(fibers))
+    return _unchecked(
+        GraphMorphism, source=source, target=target, edge_map=tuple(edge_map), fibers=tuple(fibers)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +582,7 @@ def enumerate_graph_morphisms(
         raise LabelSetMismatch(f"{src.labels} vs {tgt.labels}")
     out = []
     for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, {}):
-        cand = GraphMorphism(src, tgt, edge_map, fibers)
+        cand = _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
         rep = validate_morphism(cand)
         if not rep.ok:
             raise AssertionError(f"enumerator produced invalid morphism: {rep.first_failure()}")
@@ -569,11 +605,11 @@ def enumerate_inert_from(g: Graph) -> list[GraphMorphism]:
     for mask in range(1 << n):
         kept = [e for e in range(n) if mask >> e & 1]
         for perm in itertools.permutations(kept):
-            target = Graph(g.labels, tuple(g.edges[e] for e in perm))
+            target = _unchecked(Graph, labels=g.labels, edges=tuple(g.edges[e] for e in perm))
             pos = {e: j for j, e in enumerate(perm)}
             edge_map = tuple(pos.get(e) for e in range(n))
             fibers = tuple((e,) for e in perm)
-            out.append(GraphMorphism(g, target, edge_map, fibers))
+            out.append(_unchecked(GraphMorphism, source=g, target=target, edge_map=edge_map, fibers=fibers))
     return out
 
 
@@ -638,7 +674,9 @@ def _validated_count(src: Graph, tgt: Graph, edge_map, orders) -> int:
     """How many morphisms src -> tgt with this edge map and these path
     orders per target edge validate_morphism accepts."""
     return sum(
-        validate_morphism(GraphMorphism(src, tgt, edge_map, fibers)).ok
+        validate_morphism(
+            _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
+        ).ok
         for fibers in itertools.product(*orders)
     )
 

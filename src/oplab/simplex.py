@@ -27,6 +27,7 @@ from .graphs import (
     MapClass,
     OperadTag,
     STAR,
+    _unchecked,
     classify_graph_morphism,
     compose_graph_morphisms,
     enumerate_graph_morphisms,
@@ -78,6 +79,15 @@ class LabeledSimplex:
 
 @dataclass(frozen=True)
 class DeltaOpMorphism:
+    """A monotone, label-preserving index map from target positions to
+    source positions.
+
+    The public constructor checks the map's length, range, monotonicity
+    and labels. Morphisms that oplab builds internally from valid ones
+    (composites, enumerated hom-sets) are valid by construction and skip
+    these checks.
+    """
+
     source: LabeledSimplex
     target: LabeledSimplex
     underlying: tuple[int, ...]
@@ -108,8 +118,11 @@ def compose_delta(m: DeltaOpMorphism, m2: DeltaOpMorphism) -> DeltaOpMorphism:
     """m then m2; index maps compose the other way around."""
     if m.target != m2.source:
         raise SourceTargetMismatch("chain morphisms do not chain")
-    return DeltaOpMorphism(
-        m.source, m2.target, tuple(m.underlying[v] for v in m2.underlying)
+    return _unchecked(
+        DeltaOpMorphism,
+        source=m.source,
+        target=m2.target,
+        underlying=tuple(m.underlying[v] for v in m2.underlying),
     )
 
 
@@ -136,7 +149,7 @@ def cut_morphism(m: DeltaOpMorphism) -> GraphMorphism:
         fibers.append(tuple(range(lo, hi)))
         for j in range(lo, hi):
             edge_map[j] = i
-    return GraphMorphism(src, tgt, tuple(edge_map), tuple(fibers))
+    return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=tuple(edge_map), fibers=tuple(fibers))
 
 
 def classify_delta(m: DeltaOpMorphism) -> DeltaClass:
@@ -166,11 +179,12 @@ def structural_inert(x: LabeledSimplex) -> GraphMorphism:
     src = lcut(x, 0)
     tgt = lcut(x, 1)
     a = x.dim()
-    return GraphMorphism(
-        src,
-        tgt,
-        tuple(range(a)) + (None,),
-        tuple((j,) for j in range(a)),
+    return _unchecked(
+        GraphMorphism,
+        source=src,
+        target=tgt,
+        edge_map=tuple(range(a)) + (None,),
+        fibers=tuple((j,) for j in range(a)),
     )
 
 
@@ -189,14 +203,18 @@ def lcut_morphism(m: DeltaOpMorphism, i: int, j: int) -> GraphMorphism:
     tgt = lcut(m.target, j)
     base = cut_morphism(m)
     if (i, j) == (1, 1):
-        return GraphMorphism(src, tgt, base.edge_map, base.fibers)
+        return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=base.edge_map, fibers=base.fibers)
     if (i, j) == (0, 1):
-        return GraphMorphism(src, tgt, base.edge_map + (None,), base.fibers)
+        return _unchecked(
+            GraphMorphism, source=src, target=tgt, edge_map=base.edge_map + (None,), fibers=base.fibers
+        )
     edge_map = list(base.edge_map) + [None] * (a + 1 - len(base.edge_map))
     tail = tuple(range(g[b], a)) + (a,)
     for e in tail:
         edge_map[e] = b
-    return GraphMorphism(src, tgt, tuple(edge_map), base.fibers + (tail,))
+    return _unchecked(
+        GraphMorphism, source=src, target=tgt, edge_map=tuple(edge_map), fibers=base.fibers + (tail,)
+    )
 
 
 def cartesian_lift(
@@ -260,7 +278,7 @@ def enumerate_delta_morphisms(a: LabeledSimplex, b: LabeledSimplex) -> list[Delt
     out = []
     for g in itertools.combinations_with_replacement(range(a.dim() + 1), b.dim() + 1):
         if all(a.chain[g[i]] == b.chain[i] for i in range(b.dim() + 1)):
-            out.append(DeltaOpMorphism(a, b, g))
+            out.append(_unchecked(DeltaOpMorphism, source=a, target=b, underlying=g))
     return out
 
 

@@ -93,6 +93,26 @@ def test_malformed_field_exits_two(tmp_path, kind, fixture, field, value):
     assert report.checks[0].witness.startswith("SchemaError: "), report.checks[0].witness
 
 
+@pytest.mark.parametrize(
+    "field, value, witness",
+    [
+        ("edge_map", [1, 2], "edge image 1 outside target"),
+        ("edge_map", [1, -1], "edge image -2 outside target"),
+        ("fibers", {"1": [1, 3]}, "fiber entry 2 outside source"),
+        ("fibers", {"1": [0, 1]}, "fiber entry -1 outside source"),
+    ],
+    ids=["edge-image-high", "edge-image-negative", "fiber-entry-high", "fiber-entry-zero"],
+)
+def test_out_of_range_morphism_exits_two(tmp_path, field, value, witness):
+    data = json.loads((FIXTURES / "morphism.json").read_text())
+    data[field] = value
+    bad = tmp_path / "morphism.json"
+    bad.write_text(json.dumps(data))
+    report, code = run(["--deterministic", "validate", "morphism", str(bad)])
+    assert (report.status, code) == ("error", 2)
+    assert report.checks[0].witness == f"IndexOutOfRange: {witness}"
+
+
 def test_missing_reference_exits_two(tmp_path):
     orphan = tmp_path / "presheaf.json"
     orphan.write_text(

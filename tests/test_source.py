@@ -63,3 +63,11 @@ def test_benchmark_measured_names_exist():
                 elif "constructed" in stats and "__post_init__" not in obj.__dict__:
                     missing.append(f"oplab.{module_name}.{target}.__post_init__")
     assert missing == []
+
+
+def test_unchecked_constructor_stays_in_graphs_and_simplex():
+    # loaders, the CLI and the presheaf layers build through the public,
+    # validating constructors; only the graph and chain internals skip them
+    users = sorted(path.name for path in SRC.glob("*.py") if "_unchecked" in path.read_text())
+    assert users == ["graphs.py", "simplex.py"]
+    assert all((SRC / name).is_file() for name in ("io.py", "cli.py", "presheaf.py", "enriched.py"))
