@@ -62,6 +62,10 @@ class InvalidBound(OplabError):
     """A size bound given to a suite is negative."""
 
 
+class InvalidCandidate(OplabError):
+    """An enumerator produced a candidate that the validator rejects."""
+
+
 class UnknownObject(OplabError):
     """Object name not present in the category."""
 

@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 from .errors import (
     IndexOutOfRange,
     InvalidBound,
+    InvalidCandidate,
     InvalidLabels,
     LabelSetMismatch,
     MissingLabelImage,
@@ -32,6 +33,11 @@ from .report import Check, ValidationReport, failing, passing
 STAR = "*"
 
 DEFAULT_EDGE_BOUND = 6
+
+# A suite refuses, before enumerating, more objects than this or objects
+# with more edges than this.
+OBJECT_BOUND = 10**4
+OBJECT_EDGE_BOUND = 5
 
 
 def _unchecked(cls, **fields):
@@ -585,7 +591,11 @@ def enumerate_graph_morphisms(
         cand = _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
         rep = validate_morphism(cand)
         if not rep.ok:
-            raise AssertionError(f"enumerator produced invalid morphism: {rep.first_failure()}")
+            failure = rep.first_failure()
+            raise InvalidCandidate(
+                f"{src.edges} -> {tgt.edges}: candidate {edge_map} with fibers {fibers} "
+                f"rejected by {failure.name}: {failure.witness}"
+            )
         out.append(cand)
     out.sort(key=_morphism_sort_key)
     return out
@@ -611,6 +621,17 @@ def enumerate_inert_from(g: Graph) -> list[GraphMorphism]:
             fibers = tuple((e,) for e in perm)
             out.append(_unchecked(GraphMorphism, source=g, target=target, edge_map=edge_map, fibers=fibers))
     return out
+
+
+def _require_enumerable(kinds: int, max_edges: int) -> None:
+    """Refuse the graphs of at most max_edges edges over kinds edge kinds
+    when they have more than OBJECT_EDGE_BOUND edges or number more than
+    OBJECT_BOUND. Only the counts are computed, never the graphs."""
+    if max_edges > OBJECT_EDGE_BOUND:
+        raise SizeBoundExceeded(f"{max_edges} edges per object exceeds bound {OBJECT_EDGE_BOUND}")
+    count = sum(kinds**n for n in range(max_edges + 1))
+    if count > OBJECT_BOUND:
+        raise SizeBoundExceeded(f"{count} objects of at most {max_edges} edges exceeds bound {OBJECT_BOUND}")
 
 
 def enumerate_objects(tag: OperadTag, labels: LabelSet, max_edges: int) -> list[Graph]:
@@ -681,8 +702,16 @@ def _validated_count(src: Graph, tgt: Graph, edge_map, orders) -> int:
     )
 
 
-def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
-    """Whole-morphism counts equal products of single-edge counts per base map.
+def _orderings(edges) -> int:
+    """The number of distinct orderings of an edge tuple (a multinomial)."""
+    out = math.factorial(len(edges))
+    for count in Counter(edges).values():
+        out //= math.factorial(count)
+    return out
+
+
+def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
+    """Compare whole-morphism counts with products of single-edge counts.
 
     For each source, a depth-first walk over the trie of target edge tuples
     extends the picks of a target's prefix by its last edge. Every candidate
@@ -691,17 +720,29 @@ def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     count into that single edge at the mask it picked; those factors are
     settled before the walk. A single-edge target's whole count is its
     factor, so the walk does not validate its candidates again: each is
-    validated once per source. A nonzero product needs pairwise
-    disjoint masks that each have a path order, so the walk reaches its edge
-    map. A mismatch is reported at the first failing target in objects
-    order, at its least base map in lexicographic order.
+    validated once per source. A nonzero product needs pairwise disjoint
+    masks that each have a path order, so the walk reaches its edge map. A
+    mismatch is reported at the first failing source, at its first failing
+    target in objects order, at the least base map in lexicographic order.
+
+    Reduced, the walk decides one edge order per orbit: it skips every
+    source whose edges are not sorted by alphabet rank, and extends a
+    target only by edges of rank at least its last one. Sorted tuples are
+    closed under prefixes, so the trie stays a trie. Each visited pair
+    counts as the number of distinct orderings of its source times that of
+    its target.
     """
     index = {g.edges: (k, g) for k, g in enumerate(objects)}
+    weight = {g.edges: _orderings(g.edges) if reduced else 1 for g in objects}
+    rank = {ep: r for r, ep in enumerate(alphabet)}
     depth = max(len(g.edges) for g in objects)
     pools: dict = {}
     pairs_checked = 0
     for src in objects:
         n = len(src.edges)
+        if reduced and any(rank[a] > rank[b] for a, b in zip(src.edges, src.edges[1:])):
+            continue
+        src_weight = weight[src.edges]
         edge_pools = [_chain_pool(src.edges, s, t, pools) for s, t in alphabet]
         factors = []
         if depth:
@@ -711,9 +752,10 @@ def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
                     mask: _validated_count(src, tgt, _pick_edge_map(n, (mask,)), (orders,))
                     for mask, orders in pool.items()
                 })
+        extensions = list(enumerate(zip(alphabet, edge_pools, factors)))
         first = None  # the least (position in objects, base map, whole, product) mismatch
 
-        def visit(edges, picks):
+        def visit(edges, picks, lowest):
             nonlocal first, pairs_checked
             k, tgt = index[edges]
             if len(edges) != 1:
@@ -723,12 +765,12 @@ def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
                     if whole != product:
                         bad = (k, _base_map(edge_map), whole, product)
                         first = bad if first is None else min(first, bad)
-            pairs_checked += 1
+            pairs_checked += src_weight * weight[edges]
             if len(edges) < depth:
-                for ep, pool, edge_factors in zip(alphabet, edge_pools, factors):
-                    visit(edges + (ep,), _extend_picks(picks, pool, edge_factors))
+                for r, (ep, pool, edge_factors) in extensions[lowest:]:
+                    visit(edges + (ep,), _extend_picks(picks, pool, edge_factors), r if reduced else 0)
 
-        visit((), [_ROOT_PICK])
+        visit((), [_ROOT_PICK], 0)
         if first is not None:
             k, base, whole, product = first
             return Check(
@@ -739,6 +781,20 @@ def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     return Check("segal-morphisms", True, f"{pairs_checked} source/target pairs")
 
 
+def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
+    """The Segal condition on morphisms, decided once per orbit of edge orders.
+
+    Permuting a source's or a target's edges carries validate_morphism's
+    accepted set onto itself, and so permutes the whole counts and the
+    single-edge factors per base map without changing them. The reduced
+    walk therefore reaches the verdict of the full one, and its multinomial
+    weights make the pair count the full count. When it finds a mismatch,
+    the full walk runs to report the witness the full order defines.
+    """
+    check = _segal_walk(objects, alphabet, reduced=True)
+    return check if check.ok else _segal_walk(objects, alphabet, reduced=False)
+
+
 def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> ValidationReport:
     """Exhaustively verify the three operad conditions at the given bound.
 
@@ -747,10 +803,14 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
     (3) counts of validated whole morphisms over a fixed base map equal the
         product of the validated counts into each single-edge restriction of
         the target; one search and one validator decide both sides.
+
+    A negative bound raises InvalidBound, and objects past OBJECT_BOUND or
+    OBJECT_EDGE_BOUND raise SizeBoundExceeded, before any is built.
     """
     if max_edges < 0:
         raise InvalidBound(f"max_edges must be at least 0, got {max_edges}")
     alphabet = allowed_edges(tag, labels)
+    _require_enumerable(len(alphabet), max_edges)
     objects = enumerate_objects(tag, labels, max_edges)
     checks = (
         _check_inert_lifts(objects),

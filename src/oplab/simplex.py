@@ -14,6 +14,7 @@ from functools import cached_property
 
 from .errors import (
     InvalidBound,
+    InvalidCandidate,
     InvalidLabels,
     NotActive,
     NotAPath,
@@ -27,6 +28,7 @@ from .graphs import (
     MapClass,
     OperadTag,
     STAR,
+    _require_enumerable,
     _unchecked,
     classify_graph_morphism,
     compose_graph_morphisms,
@@ -301,13 +303,15 @@ def _check_inert_chain_lifts(simplices) -> Check:
     return Check("inert-chain-lifts", True, f"{len(simplices)} chains")
 
 
-def _actives_into(graph_pool, y: LabeledSimplex):
+def _actives_into(graph_pool, y: LabeledSimplex) -> list[GraphMorphism]:
     # sources smaller than the target still matter: fibers may be empty
     tgt = cut_object(y)
-    for g in graph_pool:
-        for phi in enumerate_graph_morphisms(g, tgt, max_total_edges=len(g.edges) + len(tgt.edges)):
-            if classify_graph_morphism(phi) in (MapClass.ACTIVE, MapClass.BOTH):
-                yield phi
+    return [
+        phi
+        for g in graph_pool
+        for phi in enumerate_graph_morphisms(g, tgt, max_total_edges=len(g.edges) + len(tgt.edges))
+        if classify_graph_morphism(phi) in (MapClass.ACTIVE, MapClass.BOTH)
+    ]
 
 
 class _HomCache:
@@ -352,7 +356,11 @@ def _check_cartesian_lifts(simplices, graph_pool) -> Check:
     cache = _HomCache()
     universal_ok: set[DeltaOpMorphism] = set()
     for y in simplices:
-        for phi in _actives_into(graph_pool, y):
+        try:
+            actives = _actives_into(graph_pool, y)
+        except InvalidCandidate as err:
+            return Check("cartesian-lifts", False, f"{y.chain}: {err}")
+        for phi in actives:
             source, lift = cartesian_lift(y, phi)
             order = [e for fib in phi.fibers for e in fib]
             if order == sorted(order):
@@ -393,8 +401,12 @@ def _check_universal(simplices, y, xbar, lift, cache: _HomCache) -> Check | None
     cut_y = cut_object(y)
     for z in simplices:
         cut_z = cut_object(z)
+        try:
+            psis = cache.cut_homs(z, xbar)
+        except InvalidCandidate as err:
+            return Check("cartesian-universal", False, f"{z.chain} -> {xbar.chain}: {err}")
         by_composite: dict[tuple, list[tuple]] = {}
-        for psi in cache.cut_homs(z, xbar):
+        for psi in psis:
             composite = compose_graph_morphisms(psi, cut_lift)
             if composite.source == cut_z and composite.target == cut_y:
                 by_composite.setdefault((composite.edge_map, composite.fibers), []).append(
@@ -468,10 +480,18 @@ def check_approximation(labels: LabelSet, max_dim: int) -> ValidationReport:
     Verifies inert lifts of the one-edge projections, existence and
     universality of the lift over every active morphism into a path
     image, the fiber condition over single labels, and the left-module
-    marking rules including the naturality square.
+    marking rules including the naturality square. A graph the enumerator
+    builds and validate_morphism rejects fails the sub-check that asked for
+    it.
+
+    A negative bound raises InvalidBound, and a graph pool past the object
+    bounds of oplab.graphs raises SizeBoundExceeded, before any is built.
     """
     if max_dim < 0:
         raise InvalidBound(f"max_dim must be at least 0, got {max_dim}")
+    # the graph pool: |labels|^2 edge kinds, at most max_dim edges; the
+    # chains number fewer than |labels| more than it
+    _require_enumerable(len(labels.labels) ** 2, max_dim)
     simplices = enumerate_simplices(labels, max_dim + 1)
     pool = enumerate_objects(OperadTag.ASSOC, labels, max_dim)
     checks = (

@@ -113,9 +113,12 @@ def test_criterion_1_operad_axioms():
             rep_ = check_operad_axioms(tag, labels, 3)
             assert rep_.ok, (tag, rep_.first_failure())
             total += 1
-        rep_ = check_operad_axioms(OperadTag.ASSOC, labels, 4)
-        assert rep_.ok, (OperadTag.ASSOC, rep_.first_failure())
-        return f"{total} operads at |S|=2, <=3 edges; assoc <=4 edges: {rep_.checks[-1].witness}"
+        at_four = []
+        for tag in (OperadTag.ASSOC, OperadTag.LM, OperadTag.RM):
+            rep_ = check_operad_axioms(tag, labels, 4)
+            assert rep_.ok, (tag, rep_.first_failure())
+            at_four.append(f"{tag.value} <=4 edges: {rep_.checks[-1].witness}")
+        return f"{total} operads at |S|=2, <=3 edges; " + "; ".join(at_four)
 
     _report(1, "operad axioms", 60, body)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oplab import cli
+from oplab import cli, graphs, simplex
 from oplab.report import Check, ValidationReport
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -243,6 +243,38 @@ def test_negative_bounds_exit_two():
         assert code == 2, (argv, report)
         assert report.status == "error"
         assert report.checks[0].witness.startswith("InvalidBound: ")
+
+
+def test_bounds_just_over_the_size_bound_exit_two(monkeypatch):
+    # refused from the counts alone: no object or chain is ever built
+    def refuse(*args):
+        raise AssertionError("enumerated past the size bound")
+
+    monkeypatch.setattr(graphs, "enumerate_objects", refuse)
+    monkeypatch.setattr(simplex, "enumerate_objects", refuse)
+    monkeypatch.setattr(simplex, "enumerate_simplices", refuse)
+    for argv, witness in [
+        (
+            ["check-operad", "--labels", "a,b", "--tag", "lm", "--max-edges", "6"],
+            "SizeBoundExceeded: 6 edges per object exceeds bound 5",
+        ),
+        (
+            ["check-operad", "--labels", "a,b,c,d,e,f,g,h,i,j", "--tag", "assoc", "--max-edges", "2"],
+            "SizeBoundExceeded: 10101 objects of at most 2 edges exceeds bound 10000",
+        ),
+        (
+            ["check-approximation", "--labels", "a", "--max-dim", "6"],
+            "SizeBoundExceeded: 6 edges per object exceeds bound 5",
+        ),
+        (
+            ["check-approximation", "--labels", "a,b,c,d,e,f,g,h,i,j", "--max-dim", "2"],
+            "SizeBoundExceeded: 10101 objects of at most 2 edges exceeds bound 10000",
+        ),
+    ]:
+        report, code = run(["--deterministic"] + argv)
+        assert code == 2, (argv, report)
+        assert report.status == "error"
+        assert report.checks[0].witness == witness
 
 
 # Each verb's seeded defect: free presheaves collapse to bottom (yoneda), or

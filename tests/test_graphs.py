@@ -1,9 +1,12 @@
+import functools
 import itertools
+from collections import Counter
 
 import pytest
 
 from oplab import graphs
 from oplab.errors import (
+    InvalidCandidate,
     InvalidLabels,
     LabelSetMismatch,
     MissingLabelImage,
@@ -656,16 +659,27 @@ def test_operad_reports_seeded_defect(monkeypatch):
     )
 
 
-def test_operad_reports_single_edge_defect(monkeypatch):
-    # a defect only the single-edge factors see is a mismatch, not a crash
-    validate = graphs.validate_morphism
+def _single_edge_defect(validate):
+    """validate_morphism that also rejects a contraction onto a single edge."""
 
     def defective(m):
         if len(m.target.edges) == 1 and len(m.fibers[0]) >= 2:
             return failing("condition-two", "seeded defect on a single-edge target")
         return validate(m)
 
-    monkeypatch.setattr(graphs, "validate_morphism", defective)
+    return defective
+
+
+def test_enumerator_raises_typed_error_on_rejected_candidate(monkeypatch):
+    monkeypatch.setattr(graphs, "validate_morphism", _cross_fiber_defect(graphs.validate_morphism))
+    src, tgt = Graph(S, (("a", "a"),) * 3), Graph(S, (("a", "a"),) * 2)
+    with pytest.raises(InvalidCandidate, match=r"candidate \(0, 1, 1\) with fibers \(\(0,\), \(1, 2\)\)"):
+        enumerate_graph_morphisms(src, tgt)
+
+
+def test_operad_reports_single_edge_defect(monkeypatch):
+    # a defect only the single-edge factors see is a mismatch, not a crash
+    monkeypatch.setattr(graphs, "validate_morphism", _single_edge_defect(graphs.validate_morphism))
     rep = check_operad_axioms(OperadTag.ASSOC, labelset("a"), 3)
     assert rep.first_failure() == Check(
         "segal-morphisms",
@@ -693,8 +707,10 @@ def test_segal_witness_is_first_failing_target_in_objects_order(monkeypatch):
 
 
 def test_operad_validation_work(monkeypatch):
-    # every whole candidate of every pair is validated once; a single-edge
-    # target's candidates only as the factors, not again as a whole target
+    # every whole candidate of every visited pair is validated once; a
+    # single-edge target's candidates only as the factors, not again as a
+    # whole target. Only pairs of sorted edge tuples are visited: {a} has one
+    # edge kind, so every pair, and {a,b} its orbit representatives
     validate = graphs.validate_morphism
     calls = []
 
@@ -703,7 +719,7 @@ def test_operad_validation_work(monkeypatch):
         return validate(m)
 
     monkeypatch.setattr(graphs, "validate_morphism", counting)
-    for names, want in ((("a",), 246), (("a", "b"), 17416)):
+    for names, want in ((("a",), 246), (("a", "b"), 3773)):
         calls.clear()
         assert check_operad_axioms(OperadTag.ASSOC, labelset(*names), 3).ok
         assert len(calls) == want, names
@@ -850,3 +866,132 @@ def test_enumerate_matches_reference():
     for src in objects:
         for tgt in objects:
             assert enumerate_graph_morphisms(src, tgt) == _reference_enumerate(src, tgt), (src, tgt)
+
+
+# --- orbit reduction ----------------------------------------------------------
+# The shipped check decides one edge order per orbit. These tests prove, at
+# small bounds, the equivariance that makes that exact.
+
+
+@functools.lru_cache(maxsize=None)
+def _all_candidates(n, m):
+    """Every edge assignment of n source edges to m target edges, with every
+    ordering of every fiber."""
+    out = []
+    for assignment in itertools.product((None,) + tuple(range(m)), repeat=n):
+        fibersets = [[e for e, v in enumerate(assignment) if v == i] for i in range(m)]
+        for fibers in itertools.product(*(itertools.permutations(f) for f in fibersets)):
+            out.append((assignment, fibers))
+    return out
+
+
+def _accepted(src, tgt):
+    """The candidates src -> tgt that validate_morphism accepts."""
+    return frozenset(
+        (edge_map, fibers)
+        for edge_map, fibers in _all_candidates(len(src.edges), len(tgt.edges))
+        if graphs.validate_morphism(GraphMorphism(src, tgt, edge_map, fibers)).ok
+    )
+
+
+def _inverse(perm):
+    return {old: new for new, old in enumerate(perm)}
+
+
+def _permuted_morphisms(morphisms, sigma, tau):
+    """Carry morphisms along new source edge i = old sigma[i] and new target
+    edge j = old tau[j]."""
+    s_inv, t_inv = _inverse(sigma), _inverse(tau)
+    return frozenset(
+        (
+            tuple(None if edge_map[old] is None else t_inv[edge_map[old]] for old in sigma),
+            tuple(tuple(s_inv[e] for e in fibers[old]) for old in tau),
+        )
+        for edge_map, fibers in morphisms
+    )
+
+
+def _base_counts(morphisms):
+    """Whole counts per base map (0 deletes, i + 1 hits target edge i)."""
+    return Counter(graphs._base_map(edge_map) for edge_map, _ in morphisms)
+
+
+def _permuted_base_counts(counts, sigma, tau):
+    t_inv = _inverse(tau)
+    return Counter({
+        tuple(0 if base[old] == 0 else t_inv[base[old] - 1] + 1 for old in sigma): count
+        for base, count in counts.items()
+    })
+
+
+def _kept_mask(edge_map):
+    return sum(1 << e for e, v in enumerate(edge_map) if v is not None)
+
+
+def _factor_table(accepted, src, alphabet):
+    """Per single edge, the accepted morphisms from src counted per kept-edge mask."""
+    return {ep: Counter(_kept_mask(edge_map) for edge_map, _ in accepted[src, (ep,)]) for ep in alphabet}
+
+
+def _permuted_factor_table(table, sigma):
+    s_inv = _inverse(sigma)
+    return {
+        ep: Counter({sum(1 << s_inv[e] for e in sigma if mask >> e & 1): count for mask, count in per_mask.items()})
+        for ep, per_mask in table.items()
+    }
+
+
+def _first_non_equivariant(objects, alphabet):
+    """The first pair, with a permutation of one side's edges, that changes
+    the accepted set, the whole counts or the single-edge factor tables
+    other than by permuting them; None when every one is permuted.
+
+    Every permuted tuple is itself an object, and a permutation of both
+    sides is one of the source's then one of the target's, so each side's
+    permutations are tried on every pair."""
+    accepted = {(s.edges, t.edges): _accepted(s, t) for s in objects for t in objects}
+    counts = {pair: _base_counts(morphisms) for pair, morphisms in accepted.items()}
+    tables = {g.edges: _factor_table(accepted, g.edges, alphabet) for g in objects}
+    for src, table in tables.items():
+        for sigma in itertools.permutations(range(len(src))):
+            if tables[tuple(src[i] for i in sigma)] != _permuted_factor_table(table, sigma):
+                return ("factors", src, sigma)
+    for (src, tgt), morphisms in accepted.items():
+        keep_src, keep_tgt = tuple(range(len(src))), tuple(range(len(tgt)))
+        moves = [(sigma, keep_tgt) for sigma in itertools.permutations(keep_src)]
+        moves += [(keep_src, tau) for tau in itertools.permutations(keep_tgt)]
+        for sigma, tau in moves:
+            pair = tuple(src[i] for i in sigma), tuple(tgt[j] for j in tau)
+            if accepted[pair] != _permuted_morphisms(morphisms, sigma, tau):
+                return ("accepted", src, tgt, sigma, tau)
+            if counts[pair] != _permuted_base_counts(counts[src, tgt], sigma, tau):
+                return ("counts", src, tgt, sigma, tau)
+    return None
+
+
+@pytest.mark.parametrize("tag", list(OperadTag))
+@pytest.mark.parametrize("names, max_edges", [(("a",), 3), (("a", "b"), 2)])
+def test_segal_counts_are_equivariant(tag, names, max_edges):
+    # permuting a pair's source or target edges carries the accepted set onto
+    # itself and permutes, without changing, the counts the check compares
+    assert _first_non_equivariant(*_segal_inputs(tag, names, max_edges)) is None
+
+
+def test_equivariance_sees_an_order_dependent_defect(monkeypatch):
+    # the cross-fiber defect looks at neighbouring target edges, so it is not
+    # carried along a permutation of the target's edges
+    monkeypatch.setattr(graphs, "validate_morphism", _cross_fiber_defect(graphs.validate_morphism))
+    found = _first_non_equivariant(*_segal_inputs(OperadTag.ASSOC, ("a",), 3))
+    assert found is not None and found[0] == "accepted"
+
+
+@pytest.mark.parametrize("defect", [None, _cross_fiber_defect, _single_edge_defect])
+def test_orbit_walk_matches_full_walk(monkeypatch, defect):
+    # the shipped check gives the unreduced walk's Check, witness included
+    if defect is not None:
+        monkeypatch.setattr(graphs, "validate_morphism", defect(graphs.validate_morphism))
+    for tag in OperadTag:
+        for names, max_edges in ((("a",), 3), (("a", "b"), 2), (("a", "b"), 3)):
+            objects, alphabet = _segal_inputs(tag, names, max_edges)
+            got = graphs._check_segal_morphisms(objects, alphabet)
+            assert got == graphs._segal_walk(objects, alphabet, reduced=False), (tag, names, max_edges)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oplab import simplex
+from oplab import graphs, simplex
 from oplab.errors import InvalidLabels, NotActive, SourceTargetMismatch, ValidationError
 from oplab.graphs import (
     Graph,
@@ -33,7 +33,7 @@ from oplab.simplex import (
     lcut_morphism,
     structural_inert,
 )
-from oplab.report import Check
+from oplab.report import Check, failing
 
 S = labelset("a", "b")
 
@@ -289,6 +289,57 @@ def test_approximation_reports_seeded_defect(monkeypatch, defect):
     seed(monkeypatch)
     rep = check_approximation(labelset("a"), 3)
     assert Check("cartesian-universal", False, witness) in rep.checks
+
+
+def _reject_contraction_next_to_a_fiber(m):
+    # rejects a morphism the enumerator offers only with three or more
+    # source edges, so cartesian-universal's hom-sets meet it first
+    for i, fib in enumerate(m.fibers):
+        if len(fib) >= 2 and any(m.fibers[j] for j in (i - 1, i + 1) if 0 <= j < len(m.fibers)):
+            return True
+    return False
+
+
+def _reject_contraction_onto_one_edge(m):
+    # rejects a morphism into a one-edge path image, so cartesian-lifts'
+    # actives meet it first
+    return len(m.target.edges) == 1 and len(m.fibers[0]) >= 2
+
+
+@pytest.mark.parametrize(
+    "rejects, check",
+    [
+        (
+            _reject_contraction_next_to_a_fiber,
+            Check(
+                "cartesian-universal",
+                False,
+                "('a', 'a', 'a', 'a') -> ('a', 'a', 'a'): (('a', 'a'), ('a', 'a'), ('a', 'a')) -> "
+                "(('a', 'a'), ('a', 'a')): candidate (0, 1, 1) with fibers ((0,), (1, 2)) "
+                "rejected by condition-two: seeded defect",
+            ),
+        ),
+        (
+            _reject_contraction_onto_one_edge,
+            Check(
+                "cartesian-lifts",
+                False,
+                "('a', 'a'): (('a', 'a'), ('a', 'a')) -> (('a', 'a'),): candidate (0, 0) "
+                "with fibers ((0, 1),) rejected by condition-two: seeded defect",
+            ),
+        ),
+    ],
+)
+def test_approximation_reports_rejected_candidate(monkeypatch, rejects, check):
+    # a validator that rejects what the enumerator builds fails the sub-check
+    # that enumerated it, with the rejected candidate as witness
+    validate = graphs.validate_morphism
+
+    def defective(m):
+        return failing("condition-two", "seeded defect") if rejects(m) else validate(m)
+
+    monkeypatch.setattr(graphs, "validate_morphism", defective)
+    assert check_approximation(labelset("a"), 3).first_failure() == check
 
 
 # ---------------------------------------------------------------------------
