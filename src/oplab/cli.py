@@ -11,7 +11,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from . import io as artifacts
 from .enriched import EnrichedFunctor, validate_category
@@ -144,7 +144,7 @@ def _cmd_pushforward(args) -> tuple[ValidationReport, dict | None]:
     return check_pushforward(EnrichedFunctor(c, d)), None
 
 
-@cache
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call.
 

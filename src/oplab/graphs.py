@@ -108,6 +108,12 @@ class Graph:
             (s == STAR, (right_label(s), right_label(t))) for s, t in self.edges
         )
 
+    @cached_property
+    def _splices(self) -> dict:
+        """pairing_inert's splices of this graph, on the left, with each
+        right graph it was paired with: (spliced graph, positions)."""
+        return {}
+
 
 def empty_graph(labels: LabelSet) -> Graph:
     return Graph(labels, ())
@@ -191,8 +197,8 @@ class GraphMorphism:
     @cached_property
     def _class(self) -> MapClass:
         """Inert when every fiber is one edge, active when no edge is deleted."""
-        inert = all(len(fib) == 1 for fib in self.fibers)
-        active = all(v is not None for v in self.edge_map)
+        inert = all(map((1).__eq__, map(len, self.fibers)))
+        active = None not in self.edge_map
         if inert and active:
             return MapClass.BOTH
         if inert:
@@ -200,6 +206,21 @@ class GraphMorphism:
         if active:
             return MapClass.ACTIVE
         return MapClass.NEITHER
+
+    @cached_property
+    def _keeps_edges(self) -> bool:
+        """Edge-preserving inert: the label set is kept, and each target
+        edge's fiber is one identical source edge, which the edge map alone
+        sends to it."""
+        edge_map, src = self.edge_map, self.source.edges
+        return (
+            self.source.labels == self.target.labels
+            and len(edge_map) - edge_map.count(None) == len(self.fibers)
+            and all(
+                len(fib) == 1 and edge_map[fib[0]] == j and src[fib[0]] == edge
+                for j, (fib, edge) in enumerate(zip(self.fibers, self.target.edges))
+            )
+        )
 
 
 def identity_morphism(g: Graph) -> GraphMorphism:
@@ -424,7 +445,7 @@ def codiagonal(s: LabelSet) -> dict[str, str]:
     return out
 
 
-def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, list[int | None]]:
+def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, tuple[int | None, ...]]:
     """The pairing of g0 and g1, labeled by labels (their pairing_labels),
     and the position in it of each edge pair: the pair (i0, i1) sits at
     index i0 * len(g1.edges) + i1, None when the pairing drops it."""
@@ -447,7 +468,7 @@ def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, list[int | N
                 continue
             positions.append(len(edges))
             edges.append(edge)
-    return _unchecked(Graph, labels=labels, edges=tuple(edges)), positions
+    return _unchecked(Graph, labels=labels, edges=tuple(edges)), tuple(positions)
 
 
 def pairing(g0: Graph, g1: Graph) -> Graph:
@@ -462,21 +483,46 @@ def pairing(g0: Graph, g1: Graph) -> Graph:
 
 
 def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
-    """Pair two inert morphisms edge-pair-wise; the result is inert."""
+    """Pair two inert morphisms edge-pair-wise; the result is inert.
+
+    The source splice is memoized on m0's source graph, keyed by m1's. When
+    both morphisms preserve edges, target pair (j0, j1) is spliced iff
+    source pair (fib0[j0], fib1[j1]) is, with the same edge, so the target
+    splice is read off the source splice; otherwise the targets are spliced.
+    """
     if classify_graph_morphism(m0) not in (MapClass.INERT, MapClass.BOTH):
         raise NotInert("left morphism is not inert")
     if classify_graph_morphism(m1) not in (MapClass.INERT, MapClass.BOTH):
         raise NotInert("right morphism is not inert")
     labels = pairing_labels(m0.source.labels, m1.source.labels)
+    splices = m0.source._splices
+    spliced = splices.get(m1.source)
+    if spliced is None:
+        spliced = splices[m1.source] = _splice(m0.source, m1.source, labels)
+    source, src_pos = spliced
+    width = len(m1.source.edges)
+    edge_map: list[int | None] = [None] * len(source.edges)
+    if m0._keeps_edges and m1._keeps_edges:
+        fibers: list[tuple[int, ...]] = []
+        for (i0,) in m0.fibers:
+            row = i0 * width
+            for (i1,) in m1.fibers:
+                k = src_pos[row + i1]
+                if k is not None:
+                    edge_map[k] = len(fibers)
+                    fibers.append((k,))
+        edges = tuple([source.edges[k] for (k,) in fibers])
+        target = _unchecked(Graph, labels=labels, edges=edges)
+        return _unchecked(
+            GraphMorphism, source=source, target=target, edge_map=tuple(edge_map), fibers=tuple(fibers)
+        )
     if (m0.target.labels, m1.target.labels) == (m0.source.labels, m1.source.labels):
         target_labels = labels
     else:
         target_labels = pairing_labels(m0.target.labels, m1.target.labels)
-    source, src_pos = _splice(m0.source, m1.source, labels)
     target, tgt_pos = _splice(m0.target, m1.target, target_labels)
-    width, tgt_width = len(m1.source.edges), len(m1.target.edges)
-    edge_map: list[int | None] = [None] * len(source.edges)
-    fibers: list[tuple[int, ...]] = [()] * len(target.edges)
+    tgt_width = len(m1.target.edges)
+    fibers = [()] * len(target.edges)
     for i0, d0 in enumerate(m0.edge_map):
         if d0 is None:
             continue

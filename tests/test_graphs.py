@@ -1,5 +1,7 @@
 import functools
+import gc
 import itertools
+import weakref
 from collections import Counter
 
 import pytest
@@ -515,7 +517,8 @@ def _outcome(fn, *args):
 
 
 def test_pairing_matches_reference():
-    for s_names, t_names in ((("a",), ("c",)), (("a",), ("c", "d")), (("a", "b"), ("c",))):
+    # every criterion-3 size; at (2,2) each source splice serves the most pairs
+    for s_names, t_names in ((("a",), ("c",)), (("a",), ("c", "d")), (("a", "b"), ("c",)), (("a", "b"), ("c", "d"))):
         sp = labelset(*s_names, pointed=True)
         tp = labelset(*t_names, pointed=True)
         lefts = [m for g in enumerate_objects(OperadTag.LM, sp, 2) for m in enumerate_inert_from(g)]
@@ -547,6 +550,97 @@ def test_pairing_raises_like_reference():
         for args in ((m0, identity_morphism(g1)), (identity_morphism(empty_graph(SP)), reverse_morphism(m0))):
             assert _outcome(_reference_pairing_inert, *args) is NotInert
             assert _outcome(pairing_inert, *args) is NotInert
+
+
+def _singleton_fiber_morphisms(labels):
+    """Every morphism between graphs of at most one edge over labels whose
+    fibers are single edges: edge maps that agree with the fibers or not,
+    and kept edges equal to their images or not."""
+    edges = [(s, t) for s in labels.vertices() for t in labels.vertices()]
+    graphs_ = [Graph(labels, ())] + [Graph(labels, (e,)) for e in edges]
+    out = []
+    for src, tgt in itertools.product(graphs_, repeat=2):
+        fiber_choices = itertools.product(((e,) for e in range(len(src.edges))), repeat=len(tgt.edges))
+        for fibers in fiber_choices:
+            for edge_map in itertools.product((None, *range(len(tgt.edges))), repeat=len(src.edges)):
+                out.append(GraphMorphism(src, tgt, edge_map, fibers))
+    return out
+
+
+def _reference_outcome(m0, m1):
+    # the reference predates the typed raise for a spliced pair whose image is not
+    out = _outcome(_reference_pairing_inert, m0, m1)
+    return NotInert if out is KeyError else out
+
+
+def _edge_preserving_mismatches():
+    """The pairs of singleton-fiber morphisms on which pairing_inert and the
+    reference disagree, in value or exception type."""
+    lefts = _singleton_fiber_morphisms(SP)
+    rights = _singleton_fiber_morphisms(labelset("c", pointed=True))
+    assert len(lefts) == 1 + 9 + 9 * 9 * 2 and len(rights) == 1 + 4 + 4 * 4 * 2
+    return [
+        (m0, m1)
+        for m0, m1 in itertools.product(lefts, rights)
+        if _outcome(pairing_inert, m0, m1) != _reference_outcome(m0, m1)
+    ]
+
+
+def test_pairing_inert_fast_path_only_for_edge_preserving_inerts():
+    assert _edge_preserving_mismatches() == []
+
+
+def test_pairing_inert_malformed_maps_keep_the_two_splice_path():
+    # identical edges, yet not edge-preserving inerts: a relabeled target, a
+    # second edge sent to a kept one, an edge map that crosses the fibers
+    a = labelset("a", pointed=True)
+    twice = Graph(SP, (("a", STAR), ("a", STAR)))
+    cases = [
+        GraphMorphism(Graph(SP, (("a", STAR),)), Graph(a, (("a", STAR),)), (0,), ((0,),)),
+        GraphMorphism(twice, Graph(SP, (("a", STAR),)), (0, 0), ((0,),)),
+        GraphMorphism(twice, twice, (1, 0), ((0,), (1,))),
+    ]
+    rights = _singleton_fiber_morphisms(labelset("c", pointed=True))
+    for m0, m1 in itertools.product(cases, rights):
+        assert _outcome(pairing_inert, m0, m1) == _reference_outcome(m0, m1)
+    assert not any(m._keeps_edges for m in cases)
+
+
+def test_pairing_inert_fast_path_seeded_to_accept_all(monkeypatch):
+    # reading every target splice off the source splice must be caught
+    monkeypatch.setattr(GraphMorphism, "_keeps_edges", True)
+    assert _edge_preserving_mismatches()
+
+
+def test_source_splice_built_once_per_graph_pair_and_dies_with_left(monkeypatch):
+    splice = graphs._splice
+    built = []
+
+    def counting(g0, g1, labels):
+        built.append((g0.edges, g1.edges))
+        return splice(g0, g1, labels)
+
+    monkeypatch.setattr(graphs, "_splice", counting)
+    sp = labelset("a", pointed=True)
+    tp = labelset("c", pointed=True)
+    left_graphs = enumerate_objects(OperadTag.LM, sp, 2)
+    right_graphs = enumerate_objects(OperadTag.RM, tp, 2)
+    lefts = [m for g in left_graphs for m in enumerate_inert_from(g)]
+    rights = [m for g in right_graphs for m in enumerate_inert_from(g)]
+    outs = [pairing_inert(m0, m1) for m0, m1 in itertools.product(lefts, rights)]
+    assert len(outs) == 625
+    assert len(built) == len(set(built)) == len(left_graphs) * len(right_graphs) == 49
+    # a one-shot pairing splices afresh and memoizes nothing
+    g1 = rm_path(tp, ("c", "c", "c"), True)
+    pairing(left_graphs[0], g1)
+    assert len(built) == 50 and g1 not in vars(left_graphs[0])["_splices"]
+    spliced = weakref.ref(vars(left_graphs[-1])["_splices"][right_graphs[-1]][0])
+    assert spliced() is outs[-1].source
+    # the memo lives on the left graphs: the right ones may outlive it
+    del left_graphs, lefts, outs
+    gc.collect()
+    assert spliced() is None
+    assert len(right_graphs) == 7 and len(rights) == 25
 
 
 def test_spliced_graph_equals_fresh_graph():

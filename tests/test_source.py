@@ -30,6 +30,47 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def _unbounded_caches(source):
+    """Line numbers of functools.cache and of lru_cache without an integer maxsize."""
+    tree = ast.parse(source)
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                bounded.add(id(node.func))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            name = "cache" if any(alias.name == "cache" for alias in node.names) else None
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            name = node.attr
+        else:  # a bare cache is caught at its import; a local may be named cache
+            name = node.id if isinstance(node, ast.Name) and node.id == "lru_cache" else None
+        if name == "cache" or name == "lru_cache" and id(node) not in bounded:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_unbounded_cache_check_sees_each_form():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache\ndef a(): pass\n@lru_cache(maxsize=None)\ndef b(): pass\n"
+        "@functools.cache\ndef c(): pass\n@lru_cache(maxsize=8)\ndef d(): pass\n"
+        "@functools.lru_cache(4)\ndef e(): pass\n"
+    )
+    assert _unbounded_caches(source) == [2, 3, 5, 7]
+
+
+def test_memo_state_is_bounded_or_lives_on_its_objects():
+    # a module-level memo either has an integer maxsize or is not there: memo
+    # state that grows with a sweep lives on the objects it serves
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [f"{path.name}:{line}" for path in files for line in _unbounded_caches(path.read_text())]
+    assert found == []
+
+
 def _is_single_check_literal(node):
     # ValidationReport((Check(...),)): passing and failing build these
     return (
