@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     IndexOutOfRange,
@@ -28,7 +28,7 @@ from .errors import (
     SourceTargetMismatch,
 )
 from .pointed import MapClass, PointedMap
-from .report import Check, ValidationReport, failing, passing
+from .report import Check, ValidationReport, failing, passing, read_once
 
 STAR = "*"
 
@@ -92,23 +92,31 @@ class Graph:
             if not self.labels.has_vertex(s) or not self.labels.has_vertex(t):
                 raise InvalidLabels(f"edge ({s},{t}) uses vertices outside {self.labels}")
 
+    # The field hash, computed once: the splice memo looks graphs up per pair.
+    def __hash__(self):
+        return self._hash
+
+    @read_once
+    def _hash(self) -> int:
+        return hash((self.labels, self.edges))
+
     # What `_splice` reads of a graph on either side of a pairing: whether
     # the graph is modular on that side, and per edge whether it touches
     # the basepoint there and the edge with both endpoints tagged.
 
-    @cached_property
+    @read_once
     def _as_left(self) -> tuple[bool, tuple[tuple[bool, tuple[str, str]], ...]]:
         return is_left_modular(self), tuple(
             (t == STAR, (left_label(s), left_label(t))) for s, t in self.edges
         )
 
-    @cached_property
+    @read_once
     def _as_right(self) -> tuple[bool, tuple[tuple[bool, tuple[str, str]], ...]]:
         return is_right_modular(self), tuple(
             (s == STAR, (right_label(s), right_label(t))) for s, t in self.edges
         )
 
-    @cached_property
+    @read_once
     def _splices(self) -> dict:
         """pairing_inert's splices of this graph, on the left, with each
         right graph it was paired with: (spliced graph, positions)."""
@@ -194,7 +202,7 @@ class GraphMorphism:
                 if not 0 <= e < n:
                     raise IndexOutOfRange(f"fiber entry {e} outside source")
 
-    @cached_property
+    @read_once
     def _class(self) -> MapClass:
         """Inert when every fiber is one edge, active when no edge is deleted."""
         inert = all(map((1).__eq__, map(len, self.fibers)))
@@ -207,7 +215,7 @@ class GraphMorphism:
             return MapClass.ACTIVE
         return MapClass.NEITHER
 
-    @cached_property
+    @read_once
     def _keeps_edges(self) -> bool:
         """Edge-preserving inert: the label set is kept, and each target
         edge's fiber is one identical source edge, which the edge map alone
@@ -257,7 +265,7 @@ def validate_morphism(m: GraphMorphism) -> ValidationReport:
 
     Every passing morphism gets the same immutable report.
     """
-    if m.source.labels != m.target.labels:
+    if m.source.labels is not m.target.labels and m.source.labels != m.target.labels:
         return failing("label-sets", f"{m.source.labels} vs {m.target.labels}")
     seen: set[int] = set()
     for i, fib in enumerate(m.fibers):
@@ -485,21 +493,23 @@ def pairing(g0: Graph, g1: Graph) -> Graph:
 def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
     """Pair two inert morphisms edge-pair-wise; the result is inert.
 
-    The source splice is memoized on m0's source graph, keyed by m1's. When
-    both morphisms preserve edges, target pair (j0, j1) is spliced iff
-    source pair (fib0[j0], fib1[j1]) is, with the same edge, so the target
-    splice is read off the source splice; otherwise the targets are spliced.
+    The source splice, and with it the pairing labels, is memoized on m0's
+    source graph, keyed by m1's. When both morphisms preserve edges, target
+    pair (j0, j1) is spliced iff source pair (fib0[j0], fib1[j1]) is, with
+    the same edge, so the target splice is read off the source splice;
+    otherwise the targets are spliced.
     """
     if classify_graph_morphism(m0) not in (MapClass.INERT, MapClass.BOTH):
         raise NotInert("left morphism is not inert")
     if classify_graph_morphism(m1) not in (MapClass.INERT, MapClass.BOTH):
         raise NotInert("right morphism is not inert")
-    labels = pairing_labels(m0.source.labels, m1.source.labels)
     splices = m0.source._splices
     spliced = splices.get(m1.source)
     if spliced is None:
+        labels = pairing_labels(m0.source.labels, m1.source.labels)
         spliced = splices[m1.source] = _splice(m0.source, m1.source, labels)
     source, src_pos = spliced
+    labels = source.labels
     width = len(m1.source.edges)
     edge_map: list[int | None] = [None] * len(source.edges)
     if m0._keeps_edges and m1._keeps_edges:

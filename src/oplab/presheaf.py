@@ -195,6 +195,11 @@ def density_decompose(f: Presheaf) -> list[Presheaf]:
 def pullback(phi: EnrichedFunctor, g: Presheaf) -> Presheaf:
     """Restriction along an identity-on-objects functor: same value table."""
     is_enriched_functor(phi).require("pullback")
+    return _pullback(phi, g)
+
+
+def _pullback(phi: EnrichedFunctor, g: Presheaf) -> Presheaf:
+    """pullback along a functor the caller has validated."""
     if g.category != phi.target:
         raise BaseMismatch("presheaf does not live on the functor target")
     return Presheaf(phi.source, g.module, g.values)
@@ -203,6 +208,11 @@ def pullback(phi: EnrichedFunctor, g: Presheaf) -> Presheaf:
 def pushforward(phi: EnrichedFunctor, f: Presheaf) -> Presheaf:
     """Least extension along the functor: X -> join_Y homD(X,Y).f(Y)."""
     is_enriched_functor(phi).require("pushforward")
+    return _pushforward(phi, f)
+
+
+def _pushforward(phi: EnrichedFunctor, f: Presheaf) -> Presheaf:
+    """pushforward along a functor the caller has validated."""
     if f.category != phi.source:
         raise BaseMismatch("presheaf does not live on the functor source")
     d = phi.target
@@ -502,20 +512,20 @@ def check_pushforward(phi: EnrichedFunctor) -> ValidationReport:
     q = c.base
     fs = enumerate_presheaves(c)
     gs = enumerate_presheaves(d)
-    pulled = [pullback(phi, g) for g in gs]
+    pulled = [_pullback(phi, g) for g in gs]
     valid = {g.values for g in gs}
     for f in fs:
-        pf = pushforward(phi, f)
+        pf = _pushforward(phi, f)
         if pf.values not in valid:
             return failing("pushforward", f"image of {f.values} invalid")
         for g, pg in zip(gs, pulled):
             if leq_presheaves(pf, g) != leq_presheaves(f, pg):
                 return failing("pushforward", f"adjunction fails at {f.values}, {g.values}")
         for a in range(q.size()):
-            if pushforward(phi, tensor_action(f, a)) != tensor_action(pf, a):
+            if _pushforward(phi, tensor_action(f, a)) != tensor_action(pf, a):
                 return failing("pushforward", f"not equivariant at {f.values}, {q.elements[a]}")
     for x in c.objects.labels:
         for a in range(q.size()):
-            if pushforward(phi, free_presheaf(c, x, a)) != free_presheaf(d, x, a):
+            if _pushforward(phi, free_presheaf(c, x, a)) != free_presheaf(d, x, a):
                 return failing("pushforward", f"free presheaf at ({x},{q.elements[a]}) not preserved")
     return passing("pushforward", f"{len(fs)} presheaves against {len(gs)}")

@@ -7,12 +7,12 @@ tuples of indices. Validation is exhaustive, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InvalidLabels
-from .report import ValidationReport, failing, passing
+from .report import ValidationReport, failing, passing, read_once
 
 LEFT = "left"
 RIGHT = "right"
@@ -37,7 +37,7 @@ class _Ordered:
     def le(self, a: int, b: int) -> bool:
         return self.leq[a][b]
 
-    @cached_property
+    @read_once
     def _lattice(self) -> _Tables | None:
         return _lattice_tables(self.leq)
 

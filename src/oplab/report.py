@@ -4,10 +4,24 @@ enumerators."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import SizeBoundExceeded, ValidationError
+
+
+class read_once:
+    """functools.cached_property without its lock, which Python 3.11 takes
+    on every first read: oplab is single-threaded. The value is stored in
+    the instance __dict__ under the function's name."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -21,7 +35,7 @@ class Check:
 class ValidationReport:
     checks: tuple[Check, ...] = field(default_factory=tuple)
 
-    @cached_property
+    @read_once
     def ok(self) -> bool:
         """Computed on the first read; a report's checks never change."""
         return all(c.ok for c in self.checks)

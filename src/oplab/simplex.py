@@ -10,7 +10,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import (
     InvalidBound,
@@ -38,7 +37,7 @@ from .graphs import (
     underlying_pointed,
     validate_morphism,
 )
-from .report import Check, ValidationReport
+from .report import Check, ValidationReport, read_once
 
 
 class DeltaClass(Enum):
@@ -69,11 +68,11 @@ class LabeledSimplex:
     # The chain's path graphs, built once per chain: the path image, and
     # the left-module paths at levels 0 and 1 over the pointed labels.
 
-    @cached_property
+    @read_once
     def _cut(self) -> Graph:
         return path_graph(self.labels, self.chain)
 
-    @cached_property
+    @read_once
     def _lcuts(self) -> tuple[Graph, Graph]:
         pointed = LabelSet(self.labels.labels, True)
         return path_graph(pointed, self.chain + (STAR,)), path_graph(pointed, self.chain)

@@ -264,4 +264,8 @@ def test_pairing_labels_looked_up_once_per_inert_pair(monkeypatch):
     for m0, m1 in itertools.product(lefts, rights):
         out = pairing_inert(m0, m1)
         assert out.source.labels is out.target.labels
-    assert len(calls) == len(lefts) * len(rights) == 25
+    # at most once per inert pair: once per distinct pair of source graphs,
+    # on the miss that splices them; every other pair reads the splice's labels
+    source_pairs = {(id(m0.source), id(m1.source)) for m0, m1 in itertools.product(lefts, rights)}
+    assert len(lefts) * len(rights) == 25
+    assert len(calls) == len(source_pairs) == 9

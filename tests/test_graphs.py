@@ -57,7 +57,7 @@ from oplab.graphs import (
     underlying_pointed,
     validate_morphism,
 )
-from oplab.report import Check, ValidationReport, failing, passing
+from oplab.report import Check, ValidationReport, failing, passing, read_once
 
 S = labelset("a", "b")
 SP = labelset("a", "b", pointed=True)
@@ -833,6 +833,38 @@ def test_report_verdict_computed_once():
     assert rep == fresh and hash(rep) == hash(fresh) and repr(rep) == repr(fresh)
     assert repr(rep) == "ValidationReport(checks=(Check(name='x', ok=False, witness='w'),))"
     assert passing("y").ok and ValidationReport((Check("y", True), Check("x", False))).ok is False
+
+
+def test_read_once_runs_once_per_instance_and_stores_in_its_dict():
+    runs = []
+
+    class Counted:
+        def __init__(self, x):
+            self.x = x
+
+        @read_once
+        def doubled(self):
+            """Twice x."""
+            runs.append(self)
+            return 2 * self.x
+
+    a, b = Counted(1), Counted(5)
+    assert (a.doubled, a.doubled, b.doubled, a.doubled) == (2, 2, 10, 2)
+    assert runs == [a, b]
+    assert vars(a)["doubled"] == 2 and vars(b)["doubled"] == 10
+    assert isinstance(Counted.doubled, read_once) and Counted.doubled.__doc__ == "Twice x."
+
+
+def test_graph_hash_is_the_field_hash_and_stays_out_of_eq_and_repr():
+    edges = (("a", "b"), ("b", STAR))
+    unchecked = graphs._unchecked(Graph, labels=SP, edges=edges)
+    public = Graph(SP, [list(e) for e in edges])
+    assert unchecked == public
+    assert hash(unchecked) == hash(public) == hash((SP, edges))
+    assert "_hash" in vars(public) and "_hash" not in vars(Graph(SP, edges))
+    assert public == Graph(SP, edges) and repr(public) == repr(Graph(SP, edges))
+    assert "_hash" not in repr(public)
+    assert {public: 1}[unchecked] == 1
 
 
 def test_operad_axioms_never_call_public_enumerator(monkeypatch):

@@ -651,7 +651,7 @@ def test_pointwise_limits_reports_seeded_defect(monkeypatch):
 
 
 def test_pushforward_reports_seeded_defect(monkeypatch):
-    monkeypatch.setattr(presheaf, "pushforward", lambda phi, f: _bottom(phi.target, f.module))
+    monkeypatch.setattr(presheaf, "_pushforward", lambda phi, f: _bottom(phi.target, f.module))
     assert check_pushforward(EnrichedFunctor(PREORDER, CODISCRETE)).checks == (
         Check("pushforward", False, "adjunction fails at (1, 0), (0, 0)"),
     )
@@ -662,6 +662,32 @@ def test_suite_refusals_still_raise():
         check_pointwise_limits(_discrete(LUK3, 3))
     with pytest.raises(ValidationError):
         check_pushforward(EnrichedFunctor(CODISCRETE, PREORDER))
+
+
+def test_pushforward_suite_validates_its_functor_once(monkeypatch):
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return is_enriched_functor(phi)
+
+    monkeypatch.setattr(presheaf, "is_enriched_functor", counting)
+    for c in BOOL_CATS:
+        for d in BOOL_CATS:
+            phi = EnrichedFunctor(c, d)
+            if is_enriched_functor(phi).ok:
+                calls.clear()
+                assert check_pushforward(phi).ok
+                assert calls == [phi]
+
+
+def test_non_functor_raises_from_each_pushforward_entry():
+    phi = EnrichedFunctor(CODISCRETE, PREORDER)
+    f = enumerate_presheaves(CODISCRETE)[0]
+    g = enumerate_presheaves(PREORDER)[0]
+    for call in (lambda: check_pushforward(phi), lambda: pushforward(phi, f), lambda: pullback(phi, g)):
+        with pytest.raises(ValidationError, match="functor"):
+            call()
 
 
 # --- failure branches of the pointwise-limits and pushforward suites ---------
@@ -773,7 +799,7 @@ def test_pointwise_limits_reports_invalid_join(monkeypatch):
 @pytest.mark.parametrize(
     "name, wrap, phi, witness",
     [
-        ("pushforward", _reversed, EnrichedFunctor(PREORDER, PREORDER), "image of (1, 0) invalid"),
+        ("_pushforward", _reversed, EnrichedFunctor(PREORDER, PREORDER), "image of (1, 0) invalid"),
         ("tensor_action", _scalar_on_left, EnrichedFunctor(NC4_CAT, NC4_CAT), "not equivariant at (3, 2), 1"),
         (
             "free_presheaf",
@@ -794,7 +820,7 @@ def test_pushforward_reports_seeded_branch(monkeypatch, name, wrap, phi, witness
     [
         None,
         ("join_presheaves", _reversed),
-        ("pushforward", _reversed),
+        ("_pushforward", _reversed),
         ("tensor_action", _scalar_on_left),
         ("free_presheaf", _free_from_row),
     ],

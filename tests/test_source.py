@@ -71,6 +71,40 @@ def test_memo_state_is_bounded_or_lives_on_its_objects():
     assert found == []
 
 
+def _cached_property_uses(source):
+    """Line numbers that import or use functools.cached_property."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            hit = any(alias.name == "cached_property" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "cached_property"
+        else:
+            hit = isinstance(node, ast.Name) and node.id == "cached_property"
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_cached_property_check_sees_each_form():
+    source = (
+        "import functools\nfrom functools import cached_property, lru_cache\n"
+        "class A:\n    @cached_property\n    def a(self): pass\n"
+        "    @functools.cached_property\n    def b(self): pass\n"
+        "    @read_once\n    def c(self): pass\n"
+    )
+    assert _cached_property_uses(source) == [2, 4, 6]
+
+
+def test_read_once_is_the_only_attribute_memo():
+    # one memo mechanism for computed attributes: report.read_once, which
+    # takes no lock, where functools.cached_property takes one per first read
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [f"{path.name}:{line}" for path in files for line in _cached_property_uses(path.read_text())]
+    assert found == []
+
+
 def _is_single_check_literal(node):
     # ValidationReport((Check(...),)): passing and failing build these
     return (
