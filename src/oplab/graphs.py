@@ -705,14 +705,30 @@ def enumerate_objects(tag: OperadTag, labels: LabelSet, max_edges: int) -> list[
 # Operad axiom checking.
 
 
-def _check_inert_lifts(objects: list[Graph]) -> Check:
+def _orbit_sources(objects: list[Graph], alphabet, reduced: bool) -> list[Graph]:
+    """The objects a walk visits: all of them, or when reduced one edge order
+    per orbit, those whose edges are sorted by alphabet rank."""
+    if not reduced:
+        return objects
+    rank = {ep: r for r, ep in enumerate(alphabet)}
+    return [g for g in objects if all(rank[a] <= rank[b] for a, b in zip(g.edges, g.edges[1:]))]
+
+
+def _by_orbit(walk, objects: list[Graph], alphabet) -> Check:
+    """Decide walk once per orbit of edge orders. When the reduced walk fails,
+    the full walk runs to report the witness the full objects order defines."""
+    check = walk(objects, alphabet, reduced=True)
+    return check if check.ok else walk(objects, alphabet, reduced=False)
+
+
+def _inert_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     """Every inert base map out of <n> has exactly one lift, and it is inert.
 
     The lifts are those of enumerate_inert_from. Distinct inert maps out of
     <n> number sum_m n!/(n-m)!, so distinct underlying maps in that number
     cover each exactly once.
     """
-    for g in objects:
+    for g in _orbit_sources(objects, alphabet, reduced):
         n = len(g.edges)
         bases: set[PointedMap] = set()
         for lift in enumerate_inert_from(g):
@@ -731,6 +747,17 @@ def _check_inert_lifts(objects: list[Graph]) -> Check:
             witness = f"{g.edges}: lifts cover {len(bases)} of {want} inert base maps"
             return Check("inert-lifts", False, witness)
     return Check("inert-lifts", True, f"{len(objects)} objects")
+
+
+def _check_inert_lifts(objects: list[Graph], alphabet) -> Check:
+    """Inert lifts, decided once per orbit of edge orders.
+
+    Permuting a source's edges is an isomorphism of objects. It carries the
+    source's inert lifts onto the permuted source's, keeps each lift's
+    validity and class, and permutes the base maps bijectively, so their
+    count and distinctness are the same at every edge order of an orbit.
+    """
+    return _by_orbit(_inert_walk, objects, alphabet)
 
 
 def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Check:
@@ -790,14 +817,11 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     """
     index = {g.edges: (k, g) for k, g in enumerate(objects)}
     weight = {g.edges: _orderings(g.edges) if reduced else 1 for g in objects}
-    rank = {ep: r for r, ep in enumerate(alphabet)}
     depth = max(len(g.edges) for g in objects)
     pools: dict = {}
     pairs_checked = 0
-    for src in objects:
+    for src in _orbit_sources(objects, alphabet, reduced):
         n = len(src.edges)
-        if reduced and any(rank[a] > rank[b] for a, b in zip(src.edges, src.edges[1:])):
-            continue
         src_weight = weight[src.edges]
         edge_pools = [_chain_pool(src.edges, s, t, pools) for s, t in alphabet]
         factors = []
@@ -844,11 +868,9 @@ def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     accepted set onto itself, and so permutes the whole counts and the
     single-edge factors per base map without changing them. The reduced
     walk therefore reaches the verdict of the full one, and its multinomial
-    weights make the pair count the full count. When it finds a mismatch,
-    the full walk runs to report the witness the full order defines.
+    weights make the pair count the full count.
     """
-    check = _segal_walk(objects, alphabet, reduced=True)
-    return check if check.ok else _segal_walk(objects, alphabet, reduced=False)
+    return _by_orbit(_segal_walk, objects, alphabet)
 
 
 def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> ValidationReport:
@@ -860,6 +882,10 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
         product of the validated counts into each single-edge restriction of
         the target; one search and one validator decide both sides.
 
+    (1) and (3) visit one edge order per orbit: only sources whose edges are
+    sorted by alphabet rank. Permuting edges carries both conditions along,
+    and a failure is reported at the first failing object in objects order.
+
     A negative bound raises InvalidBound, and objects past OBJECT_BOUND or
     OBJECT_EDGE_BOUND raise SizeBoundExceeded, before any is built.
     """
@@ -869,7 +895,7 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
     _require_enumerable(len(alphabet), max_edges)
     objects = enumerate_objects(tag, labels, max_edges)
     checks = (
-        _check_inert_lifts(objects),
+        _check_inert_lifts(objects, alphabet),
         _check_segal_objects(objects, alphabet, max_edges),
         _check_segal_morphisms(objects, alphabet),
     )

@@ -107,8 +107,9 @@ def test_criterion_1_operad_axioms():
         total = 0
         for tag in (OperadTag.ASSOC, OperadTag.LM, OperadTag.RM):
             alphabet = allowed_edges(tag, labels)
+            objects = enumerate_objects(tag, labels, 3)
             for n in range(4):
-                fiber = [g for g in enumerate_objects(tag, labels, 3) if len(g.edges) == n]
+                fiber = [g for g in objects if len(g.edges) == n]
                 assert len(fiber) == len(alphabet) ** n
             rep_ = check_operad_axioms(tag, labels, 3)
             assert rep_.ok, (tag, rep_.first_failure())

@@ -803,8 +803,9 @@ def test_segal_witness_is_first_failing_target_in_objects_order(monkeypatch):
 def test_operad_validation_work(monkeypatch):
     # every whole candidate of every visited pair is validated once; a
     # single-edge target's candidates only as the factors, not again as a
-    # whole target. Only pairs of sorted edge tuples are visited: {a} has one
-    # edge kind, so every pair, and {a,b} its orbit representatives
+    # whole target; every inert lift of every visited source once. Only
+    # sorted edge tuples are visited: {a} has one edge kind, so every
+    # object, and {a,b} its orbit representatives
     validate = graphs.validate_morphism
     calls = []
 
@@ -813,7 +814,7 @@ def test_operad_validation_work(monkeypatch):
         return validate(m)
 
     monkeypatch.setattr(graphs, "validate_morphism", counting)
-    for names, want in ((("a",), 246), (("a", "b"), 3773)):
+    for names, want in ((("a",), 246), (("a", "b"), 3039)):
         calls.clear()
         assert check_operad_axioms(OperadTag.ASSOC, labelset(*names), 3).ok
         assert len(calls) == want, names
@@ -1121,3 +1122,140 @@ def test_orbit_walk_matches_full_walk(monkeypatch, defect):
             objects, alphabet = _segal_inputs(tag, names, max_edges)
             got = graphs._check_segal_morphisms(objects, alphabet)
             assert got == graphs._segal_walk(objects, alphabet, reduced=False), (tag, names, max_edges)
+
+
+def _lift_records(g):
+    """The inert lifts out of g, each with its validate and classify verdicts
+    and its base map, counted."""
+    return Counter(
+        (
+            m.edge_map,
+            m.fibers,
+            m.target.edges,
+            graphs.validate_morphism(m).ok,
+            graphs.classify_graph_morphism(m),
+            graphs.underlying_pointed(m).images,
+        )
+        for m in graphs.enumerate_inert_from(g)
+    )
+
+
+def _permuted_lift_records(records, sigma):
+    """Carry lift records along new source edge i = old sigma[i]; each lift
+    keeps its target, its verdicts and, permuted, its base map."""
+    s_inv = _inverse(sigma)
+    return Counter({
+        (
+            tuple(edge_map[old] for old in sigma),
+            tuple(tuple(s_inv[e] for e in fib) for fib in fibers),
+            target,
+            ok,
+            cls,
+            tuple(base[old] for old in sigma),
+        ): count
+        for (edge_map, fibers, target, ok, cls, base), count in records.items()
+    })
+
+
+def _first_non_equivariant_lifts(objects):
+    """The first object, with a permutation of its edges, whose permuted
+    object's inert lifts are not its own lifts permuted; None when every
+    one is."""
+    records = {g.edges: _lift_records(g) for g in objects}
+    for edges, lifts in records.items():
+        for sigma in itertools.permutations(range(len(edges))):
+            if records[tuple(edges[i] for i in sigma)] != _permuted_lift_records(lifts, sigma):
+                return (edges, sigma)
+    return None
+
+
+@pytest.mark.parametrize("tag", list(OperadTag))
+@pytest.mark.parametrize("names, max_edges", [(("a",), 3), (("a", "b"), 2)])
+def test_inert_lifts_are_equivariant(tag, names, max_edges):
+    # permuting a source's edges carries its inert lifts onto the permuted
+    # source's, with the same verdicts and permuted base maps
+    objects, _ = _segal_inputs(tag, names, max_edges)
+    assert _first_non_equivariant_lifts(objects) is None
+
+
+def _unsorted(alphabet):
+    rank = {ep: r for r, ep in enumerate(alphabet)}
+    return lambda edges: list(edges) != sorted(edges, key=rank.__getitem__)
+
+
+def _drop_at_unsorted(enumerate_inert, alphabet):
+    """enumerate_inert_from that drops its last lift at a source whose edges
+    are not sorted by alphabet rank."""
+    unsorted = _unsorted(alphabet)
+    return lambda g: enumerate_inert(g)[:-1] if unsorted(g.edges) else enumerate_inert(g)
+
+
+def test_inert_equivariance_sees_an_order_dependent_defect(monkeypatch):
+    # a defect only unsorted sources show escapes the reduced walk; the
+    # equivariance proof is what rules it out
+    objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 2)
+    monkeypatch.setattr(graphs, "enumerate_inert_from", _drop_at_unsorted(graphs.enumerate_inert_from, alphabet))
+    assert graphs._check_inert_lifts(objects, alphabet) == Check("inert-lifts", True, "21 objects")
+    assert graphs._inert_walk(objects, alphabet, reduced=False) == Check(
+        "inert-lifts", False, "(('a', 'b'), ('a', 'a')): lifts cover 4 of 5 inert base maps"
+    )
+    assert _first_non_equivariant_lifts(objects) == ((("a", "a"), ("a", "b")), (1, 0))
+
+
+def _drop_last_lift(enumerate_inert, alphabet):
+    return lambda g: enumerate_inert(g)[:-1]
+
+
+def _drop_at_unsorted_or_last_kind(enumerate_inert, alphabet):
+    """enumerate_inert_from that drops its last lift at an unsorted source and
+    at a sorted one of two or more edges all of the alphabet's last kind, so
+    the reduced walk fails at a later object than the full one."""
+    unsorted = _unsorted(alphabet)
+
+    def defective(g):
+        lifts = enumerate_inert(g)
+        hit = unsorted(g.edges) or (len(g.edges) >= 2 and set(g.edges) == {alphabet[-1]})
+        return lifts[:-1] if hit else lifts
+
+    return defective
+
+
+def _permuted_target_defect(validate, alphabet):
+    """validate_morphism that also rejects a morphism whose fibers are single
+    source edges listed out of source order."""
+
+    def defective(m):
+        if all(len(fib) == 1 for fib in m.fibers) and list(m.fibers) != sorted(m.fibers):
+            return failing("condition-two", "seeded defect on a permuted target")
+        return validate(m)
+
+    return defective
+
+
+def _swap_is_neither(classify, alphabet):
+    """classify_graph_morphism that calls the lift swapping a two-edge
+    source's edges NEITHER."""
+    return lambda m: MapClass.NEITHER if m.fibers == ((1,), (0,)) else classify(m)
+
+
+@pytest.mark.parametrize(
+    "name, defect",
+    [
+        (None, None),
+        ("enumerate_inert_from", _drop_last_lift),
+        ("enumerate_inert_from", _drop_at_unsorted_or_last_kind),
+        ("validate_morphism", _permuted_target_defect),
+        ("classify_graph_morphism", _swap_is_neither),
+    ],
+)
+def test_inert_orbit_walk_matches_full_walk(monkeypatch, name, defect):
+    # the shipped check gives the unreduced walk's Check, witness included
+    original = getattr(graphs, name) if name else None
+    for tag in OperadTag:
+        for names, max_edges in ((("a",), 3), (("a", "b"), 2), (("a", "b"), 3)):
+            objects, alphabet = _segal_inputs(tag, names, max_edges)
+            if defect is not None:
+                monkeypatch.setattr(graphs, name, defect(original, alphabet))
+            got = graphs._check_inert_lifts(objects, alphabet)
+            assert got == graphs._inert_walk(objects, alphabet, reduced=False), (tag, names, max_edges)
+            assert got.ok is (defect is None), (tag, names, max_edges, got)
