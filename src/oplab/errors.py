@@ -30,10 +30,6 @@ class InvalidLabels(OplabError):
     """Malformed label set or labels not available in context."""
 
 
-class MissingLabelImage(OplabError):
-    """A relabeling function is not total on the labels it must cover."""
-
-
 class NotLeftModular(OplabError):
     """Graph has an edge whose source is the basepoint."""
 

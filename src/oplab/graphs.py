@@ -20,7 +20,6 @@ from .errors import (
     InvalidCandidate,
     InvalidLabels,
     LabelSetMismatch,
-    MissingLabelImage,
     NotInert,
     NotLeftModular,
     NotRightModular,
@@ -31,8 +30,6 @@ from .pointed import MapClass, PointedMap
 from .report import Check, ValidationReport, failing, passing, read_once
 
 STAR = "*"
-
-DEFAULT_EDGE_BOUND = 6
 
 # A suite refuses, before enumerating, more objects than this or objects
 # with more edges than this.
@@ -219,7 +216,8 @@ class GraphMorphism:
     def _keeps_edges(self) -> bool:
         """Edge-preserving inert: the label set is kept, and each target
         edge's fiber is one identical source edge, which the edge map alone
-        sends to it."""
+        sends to it. This holds exactly when validate_morphism accepts the
+        morphism and it is inert (class INERT or BOTH)."""
         edge_map, src = self.edge_map, self.source.edges
         return (
             self.source.labels == self.target.labels
@@ -391,35 +389,6 @@ def reverse_morphism(m: GraphMorphism) -> GraphMorphism:
     return GraphMorphism(reverse_graph(m.source), reverse_graph(m.target), edge_map, fibers)
 
 
-def relabel_vertex(v: str, mapping: dict[str, str], target: LabelSet) -> str:
-    if v in mapping:
-        w = mapping[v]
-    elif v == STAR and target.pointed:
-        w = STAR
-    else:
-        raise MissingLabelImage(f"no image for {v!r}")
-    if not target.has_vertex(w):
-        raise MissingLabelImage(f"image {w!r} of {v!r} is not a vertex of the target")
-    return w
-
-
-def relabel_graph(g: Graph, mapping: dict[str, str], target: LabelSet) -> Graph:
-    """Push a graph forward along a label function; edge order is unchanged."""
-    return Graph(
-        target,
-        tuple((relabel_vertex(s, mapping, target), relabel_vertex(t, mapping, target)) for s, t in g.edges),
-    )
-
-
-def relabel_morphism(m: GraphMorphism, mapping: dict[str, str], target: LabelSet) -> GraphMorphism:
-    return GraphMorphism(
-        relabel_graph(m.source, mapping, target),
-        relabel_graph(m.target, mapping, target),
-        m.edge_map,
-        m.fibers,
-    )
-
-
 def iso_graphs(a: Graph, b: Graph) -> bool:
     """Equality up to a permutation of the edge list."""
     return a.labels == b.labels and Counter(a.edges) == Counter(b.edges)
@@ -444,13 +413,6 @@ def pairing_labels(s: LabelSet, t: LabelSet) -> LabelSet:
         tuple(left_label(x) for x in s.labels) + tuple(right_label(y) for y in t.labels),
         False,
     )
-
-
-def codiagonal(s: LabelSet) -> dict[str, str]:
-    """Label function merging the two tagged copies of s back onto s."""
-    out = {left_label(x): x for x in s.labels}
-    out.update({right_label(x): x for x in s.labels})
-    return out
 
 
 def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, tuple[int | None, ...]]:
@@ -491,62 +453,37 @@ def pairing(g0: Graph, g1: Graph) -> Graph:
 
 
 def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
-    """Pair two inert morphisms edge-pair-wise; the result is inert.
+    """Pair two valid inert morphisms edge-pair-wise; the result is one too.
 
-    The source splice, and with it the pairing labels, is memoized on m0's
-    source graph, keyed by m1's. When both morphisms preserve edges, target
-    pair (j0, j1) is spliced iff source pair (fib0[j0], fib1[j1]) is, with
-    the same edge, so the target splice is read off the source splice;
-    otherwise the targets are spliced.
+    A valid inert keeps its label set and its fibers are single edges equal
+    to their images (GraphMorphism._keeps_edges), so target pair (j0, j1) is
+    spliced iff source pair (fib0[j0], fib1[j1]) is, with the same edge: the
+    target splice is read off the source splice. The source splice, and with
+    it the pairing labels, is memoized on m0's source graph, keyed by m1's.
+    Any other morphism raises NotInert.
     """
-    if classify_graph_morphism(m0) not in (MapClass.INERT, MapClass.BOTH):
-        raise NotInert("left morphism is not inert")
-    if classify_graph_morphism(m1) not in (MapClass.INERT, MapClass.BOTH):
-        raise NotInert("right morphism is not inert")
+    if not m0._keeps_edges:
+        raise NotInert("left morphism is not a valid inert")
+    if not m1._keeps_edges:
+        raise NotInert("right morphism is not a valid inert")
     splices = m0.source._splices
     spliced = splices.get(m1.source)
     if spliced is None:
         labels = pairing_labels(m0.source.labels, m1.source.labels)
         spliced = splices[m1.source] = _splice(m0.source, m1.source, labels)
     source, src_pos = spliced
-    labels = source.labels
     width = len(m1.source.edges)
     edge_map: list[int | None] = [None] * len(source.edges)
-    if m0._keeps_edges and m1._keeps_edges:
-        fibers: list[tuple[int, ...]] = []
-        for (i0,) in m0.fibers:
-            row = i0 * width
-            for (i1,) in m1.fibers:
-                k = src_pos[row + i1]
-                if k is not None:
-                    edge_map[k] = len(fibers)
-                    fibers.append((k,))
-        edges = tuple([source.edges[k] for (k,) in fibers])
-        target = _unchecked(Graph, labels=labels, edges=edges)
-        return _unchecked(
-            GraphMorphism, source=source, target=target, edge_map=tuple(edge_map), fibers=tuple(fibers)
-        )
-    if (m0.target.labels, m1.target.labels) == (m0.source.labels, m1.source.labels):
-        target_labels = labels
-    else:
-        target_labels = pairing_labels(m0.target.labels, m1.target.labels)
-    target, tgt_pos = _splice(m0.target, m1.target, target_labels)
-    tgt_width = len(m1.target.edges)
-    fibers = [()] * len(target.edges)
-    for i0, d0 in enumerate(m0.edge_map):
-        if d0 is None:
-            continue
-        for i1, d1 in enumerate(m1.edge_map):
-            k = src_pos[i0 * width + i1]
-            if k is None or d1 is None:
-                continue
-            v = tgt_pos[d0 * tgt_width + d1]
-            if v is None:
-                raise NotInert(
-                    f"edge pair ({i0},{i1}) is spliced but its image ({d0},{d1}) is not"
-                )
-            edge_map[k] = v
-            fibers[v] = (k,)
+    fibers: list[tuple[int, ...]] = []
+    for (i0,) in m0.fibers:
+        row = i0 * width
+        for (i1,) in m1.fibers:
+            k = src_pos[row + i1]
+            if k is not None:
+                edge_map[k] = len(fibers)
+                fibers.append((k,))
+    edges = tuple([source.edges[k] for (k,) in fibers])
+    target = _unchecked(Graph, labels=source.labels, edges=edges)
     return _unchecked(
         GraphMorphism, source=source, target=target, edge_map=tuple(edge_map), fibers=tuple(fibers)
     )
@@ -628,18 +565,17 @@ def _morphism_candidates(src_edges, tgt_edges, pools: dict):
             yield edge_map, fibers
 
 
-def enumerate_graph_morphisms(
-    src: Graph, tgt: Graph, max_total_edges: int | None = None
-) -> list[GraphMorphism]:
+def enumerate_graph_morphisms(src: Graph, tgt: Graph) -> list[GraphMorphism]:
     """All valid morphisms src -> tgt, in a fixed deterministic order.
 
-    Candidates come from the chain-pool search of _morphism_candidates;
-    each one must pass validate_morphism.
+    A graph of more than OBJECT_EDGE_BOUND edges, the bound every suite
+    enforces on its objects, raises SizeBoundExceeded before any candidate
+    is built. Candidates come from the chain-pool search of
+    _morphism_candidates; each one must pass validate_morphism.
     """
-    n, m = len(src.edges), len(tgt.edges)
-    bound = DEFAULT_EDGE_BOUND if max_total_edges is None else max_total_edges
-    if n + m > bound:
-        raise SizeBoundExceeded(f"{n}+{m} edges exceeds bound {bound}")
+    edges = max(len(src.edges), len(tgt.edges))
+    if edges > OBJECT_EDGE_BOUND:
+        raise SizeBoundExceeded(f"{edges} edges per object exceeds bound {OBJECT_EDGE_BOUND}")
     if src.labels != tgt.labels:
         raise LabelSetMismatch(f"{src.labels} vs {tgt.labels}")
     out = []

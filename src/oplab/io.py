@@ -63,11 +63,22 @@ def _parsing(where: str):
         raise SchemaError(f"{where}: malformed field ({exc})") from None
 
 
+def _typed(value, kind: type, where: str, field: str):
+    """value, when JSON gave it as kind: bool, or int (which no bool is)."""
+    if type(value) is not kind:
+        raise SchemaError(f"{where}: {field} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _leq(data: dict, where: str) -> tuple[tuple[bool, ...], ...]:
+    return tuple(tuple(_typed(v, bool, where, "leq entry") for v in row) for row in _need(data, "leq", where))
+
+
 def _labelset(data: dict, where: str) -> LabelSet:
     labels = _need(data, "labels", where)
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError(f"{where}: labels must be a list of strings")
-    return LabelSet(tuple(labels), bool(data.get("pointed", False)))
+    return LabelSet(tuple(labels), _typed(data.get("pointed", False), bool, where, "pointed"))
 
 
 def graph_from_dict(data: dict, where: str = "graph") -> Graph:
@@ -94,12 +105,17 @@ def morphism_from_dict(data: dict, where: str = "morphism") -> GraphMorphism:
     target = graph_from_dict(_need(data, "target", where), f"{where}.target")
     known = [str(i + 1) for i in range(len(target.edges))]
     with _parsing(where):
-        edge_map = tuple(None if v == 0 else v - 1 for v in _need(data, "edge_map", where))
+        edge_map = tuple(
+            None if _typed(v, int, where, "edge_map entry") == 0 else v - 1
+            for v in _need(data, "edge_map", where)
+        )
         raw_fibers = data.get("fibers", {})
         for key in raw_fibers:
             if key not in known:
                 raise SchemaError(f"{where}: fiber key {key!r} is not a target edge")
-        fibers = tuple(tuple(e - 1 for e in raw_fibers.get(i, [])) for i in known)
+        fibers = tuple(
+            tuple(_typed(e, int, where, "fiber entry") - 1 for e in raw_fibers.get(i, [])) for i in known
+        )
     m = GraphMorphism(source, target, edge_map, fibers)
     validate_morphism(m).require(where)
     return m
@@ -124,7 +140,7 @@ def load_quantale(path: str | Path) -> Quantale:
     with _parsing(str(path)):
         elements = tuple(_need(data, "elements", str(path)))
         index = {name: i for i, name in enumerate(elements)}
-        leq = tuple(tuple(row) for row in _need(data, "leq", str(path)))
+        leq = _leq(data, str(path))
         tensor = tuple(tuple(index[v] for v in row) for row in _need(data, "tensor", str(path)))
         unit = index[_need(data, "unit", str(path))]
     q = Quantale(elements, leq, tensor, unit)
@@ -142,7 +158,7 @@ def load_module(path: str | Path) -> ModuleLattice:
             raise SchemaError(f"{path}: side must be 'left' or 'right'")
         elements = tuple(_need(data, "elements", str(path)))
         index = {name: i for i, name in enumerate(elements)}
-        leq = tuple(tuple(row) for row in _need(data, "leq", str(path)))
+        leq = _leq(data, str(path))
         action = tuple(tuple(index[v] for v in row) for row in _need(data, "action", str(path)))
     m = ModuleLattice(load_quantale(base_path), side, elements, leq, action)
     validate_module(m).require(str(path))

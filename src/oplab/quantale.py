@@ -262,19 +262,6 @@ def noncommutative_chain4() -> Quantale:
     )
 
 
-def make_builtin(kind: str, n: int | None = None) -> Quantale:
-    """Builtins by name: boolean, lukasiewicz (with n), trivial."""
-    if kind == "boolean":
-        return boolean_quantale()
-    if kind == "lukasiewicz":
-        if n is None or n < 1:
-            raise IndexOutOfRange("lukasiewicz needs n >= 1")
-        return lukasiewicz(n)
-    if kind == "trivial":
-        return trivial_quantale()
-    raise InvalidLabels(f"unknown builtin {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Modules.
 

@@ -308,7 +308,7 @@ def _actives_into(graph_pool, y: LabeledSimplex) -> list[GraphMorphism]:
     return [
         phi
         for g in graph_pool
-        for phi in enumerate_graph_morphisms(g, tgt, max_total_edges=len(g.edges) + len(tgt.edges))
+        for phi in enumerate_graph_morphisms(g, tgt)
         if classify_graph_morphism(phi) in (MapClass.ACTIVE, MapClass.BOTH)
     ]
 
@@ -343,10 +343,7 @@ class _HomCache:
     def cut_homs(self, a: LabeledSimplex, b: LabeledSimplex):
         key = (a.chain, b.chain)
         if key not in self.cuts:
-            ca, cb = cut_object(a), cut_object(b)
-            self.cuts[key] = enumerate_graph_morphisms(
-                ca, cb, max_total_edges=len(ca.edges) + len(cb.edges)
-            )
+            self.cuts[key] = enumerate_graph_morphisms(cut_object(a), cut_object(b))
         return self.cuts[key]
 
 

@@ -79,8 +79,16 @@ def test_invalid_artifact_exits_two(tmp_path):
         ("quantale", "boolean.json", "unit", ["1"]),
         ("morphism", "morphism.json", "edge_map", ["x"]),
         ("morphism", "morphism.json", "fibers", [[1]]),
+        ("graph", "graph.json", "pointed", "false"),
+        ("quantale", "boolean.json", "leq", [[True, "no"], [False, True]]),
+        ("module", "chain3_left_module.json", "leq", [[True, True, True], [0, True, True], [False, False, True]]),
+        ("morphism", "morphism.json", "edge_map", [True, True]),
+        ("morphism", "morphism.json", "fibers", {"1": [True, 2]}),
     ],
-    ids=["hom-list", "leq-int", "unit-list", "edge-map-str", "fibers-list"],
+    ids=[
+        "hom-list", "leq-int", "unit-list", "edge-map-str", "fibers-list",
+        "pointed-str", "leq-str", "module-leq-int", "edge-map-bool", "fiber-bool",
+    ],
 )
 def test_malformed_field_exits_two(tmp_path, kind, fixture, field, value):
     data = json.loads((FIXTURES / fixture).read_text())

@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from oplab import graphs, simplex
-from oplab.errors import IndexOutOfRange, ValidationError
+from oplab.errors import IndexOutOfRange, NotInert, ValidationError
 from oplab.graphs import (
     Graph,
     GraphMorphism,
@@ -144,14 +144,17 @@ def test_inert_pairs_as_public(t_names, pairs):
 
 def test_inert_pair_with_relabeled_target_as_public():
     # the public constructor does not compare label sets, so a target may
-    # carry its own; its splice is labeled by the targets' pairing labels
+    # carry its own; such a map is no valid inert, and pairing_inert refuses
+    # it. Over one label set the same map is valid, and pairs as public
     sp, zp, tp = (labelset(x, pointed=True) for x in ("a", "z", "c"))
-    m0 = GraphMorphism(Graph(sp, (("a", STAR),)), Graph(zp, (("z", STAR),)), (0,), ((0,),))
     m1 = identity_morphism(Graph(tp, ((STAR, "c"),)))
-    out = pairing_inert(m0, m1)
+    relabeled = GraphMorphism(Graph(sp, (("a", STAR),)), Graph(zp, (("z", STAR),)), (0,), ((0,),))
+    with pytest.raises(NotInert):
+        pairing_inert(relabeled, m1)
+    out = pairing_inert(identity_morphism(relabeled.source), m1)
+    assert out.source.labels is out.target.labels
     assert out.source.labels == pairing_labels(sp, tp)
-    assert out.target.labels == pairing_labels(zp, tp)
-    assert out.target.edges == (("z.0", "c.1"),)
+    assert out.target.edges == (("a.0", "c.1"),)
     assert_as_public(out)
 
 

@@ -11,7 +11,6 @@ from oplab.errors import (
     InvalidCandidate,
     InvalidLabels,
     LabelSetMismatch,
-    MissingLabelImage,
     NotInert,
     NotLeftModular,
     NotRightModular,
@@ -28,7 +27,6 @@ from oplab.graphs import (
     allowed_edges,
     check_operad_axioms,
     classify_graph_morphism,
-    codiagonal,
     compose_graph_morphisms,
     contract_path,
     delete_edge,
@@ -47,8 +45,6 @@ from oplab.graphs import (
     pairing_inert,
     pairing_labels,
     path_graph,
-    relabel_graph,
-    relabel_morphism,
     reverse_graph,
     reverse_morphism,
     right_label,
@@ -307,47 +303,6 @@ def test_reverse_tensor_is_reversed_tensor():
     assert reverse_graph(tensor_graphs(g, h)) == tensor_graphs(reverse_graph(h), reverse_graph(g))
 
 
-# --- relabeling -----------------------------------------------------------
-
-
-def test_relabel_basepoint_filling():
-    g = path_graph(SP, ("b", STAR))
-    out = relabel_graph(g, {"a": "a", "b": "b", STAR: "a"}, S)
-    assert out.edges == (("b", "a"),)
-
-
-def test_relabel_identity_and_functorial():
-    g = path_graph(S, ("a", "b", "a"))
-    ident = {x: x for x in S.labels}
-    assert relabel_graph(g, ident, S) == g
-    T = labelset("u", "v")
-    U = labelset("w")
-    h1 = {"a": "u", "b": "v"}
-    h2 = {"u": "w", "v": "w"}
-    assert relabel_graph(relabel_graph(g, h1, T), h2, U) == relabel_graph(
-        g, {k: h2[v] for k, v in h1.items()}, U
-    )
-    m = contract_path(S, ("a", "b", "a"))
-    rm = relabel_morphism(m, h1, T)
-    assert validate_morphism(rm).ok
-    assert rm.edge_map == m.edge_map and rm.fibers == m.fibers
-    assert relabel_morphism(rm, h2, U) == relabel_morphism(
-        m, {k: h2[v] for k, v in h1.items()}, U
-    )
-
-
-def test_relabel_missing_image():
-    with pytest.raises(MissingLabelImage):
-        relabel_graph(path_graph(S, ("a", "b")), {"a": "a"}, S)
-
-
-def test_codiagonal_merges_copies():
-    g0 = path_graph(SP, ("a", STAR))
-    g1 = path_graph(SP, (STAR, "b"))
-    merged = relabel_graph(pairing(g0, g1), codiagonal(S), S)
-    assert merged.edges == (("a", "b"),)
-
-
 # --- pairing --------------------------------------------------------------
 
 
@@ -451,12 +406,16 @@ def test_pairing_tensor_in_second_argument_exhaustive():
 
 
 def test_pairing_inert_missing_image_pair_is_typed():
-    # (a,*) is spliced with the loop (c,c), but its image (a,b) is not
+    # (a,*) is spliced with the loop (c,c), but its image (a,b) is not: the
+    # map is not a valid inert, so it is refused before any splice
     tp = labelset("c", pointed=True)
     m0 = GraphMorphism(Graph(SP, (("a", STAR),)), Graph(SP, (("a", "b"),)), (0,), ((0,),))
     m1 = identity_morphism(Graph(tp, (("c", "c"),)))
-    with pytest.raises(NotInert, match=r"edge pair \(0,0\)"):
+    assert not validate_morphism(m0).ok
+    with pytest.raises(NotInert, match="left morphism is not a valid inert"):
         pairing_inert(m0, m1)
+    with pytest.raises(NotInert, match="right morphism is not a valid inert"):
+        pairing_inert(identity_morphism(Graph(SP, ())), m0)
 
 
 def _reference_pair_edge(e0, e1):
@@ -567,43 +526,72 @@ def _singleton_fiber_morphisms(labels):
     return out
 
 
-def _reference_outcome(m0, m1):
-    # the reference predates the typed raise for a spliced pair whose image is not
-    out = _outcome(_reference_pairing_inert, m0, m1)
-    return NotInert if out is KeyError else out
+def _valid_inert(m):
+    return validate_morphism(m).ok and classify_graph_morphism(m) in (MapClass.INERT, MapClass.BOTH)
+
+
+def _expected_outcome(m0, m1):
+    """The reference's outcome on two valid inerts; NotInert on any other pair."""
+    if _valid_inert(m0) and _valid_inert(m1):
+        return _outcome(_reference_pairing_inert, m0, m1)
+    return NotInert
 
 
 def _edge_preserving_mismatches():
-    """The pairs of singleton-fiber morphisms on which pairing_inert and the
-    reference disagree, in value or exception type."""
+    """The pairs of singleton-fiber morphisms on which pairing_inert and
+    _expected_outcome disagree, in value or exception type."""
     lefts = _singleton_fiber_morphisms(SP)
     rights = _singleton_fiber_morphisms(labelset("c", pointed=True))
     assert len(lefts) == 1 + 9 + 9 * 9 * 2 and len(rights) == 1 + 4 + 4 * 4 * 2
     return [
         (m0, m1)
         for m0, m1 in itertools.product(lefts, rights)
-        if _outcome(pairing_inert, m0, m1) != _reference_outcome(m0, m1)
+        if _outcome(pairing_inert, m0, m1) != _expected_outcome(m0, m1)
     ]
 
 
 def test_pairing_inert_fast_path_only_for_edge_preserving_inerts():
+    # the target splice is read off the source splice on valid inerts only:
+    # they pair as the two-splice reference does, every other pair is refused
     assert _edge_preserving_mismatches() == []
 
 
-def test_pairing_inert_malformed_maps_keep_the_two_splice_path():
-    # identical edges, yet not edge-preserving inerts: a relabeled target, a
-    # second edge sent to a kept one, an edge map that crosses the fibers
+def _malformed_inerts():
+    """Singleton-fiber maps with identical edges that are no valid inerts: a
+    relabeled target, a second edge sent to a kept one, an edge map that
+    crosses the fibers."""
     a = labelset("a", pointed=True)
     twice = Graph(SP, (("a", STAR), ("a", STAR)))
-    cases = [
+    return [
         GraphMorphism(Graph(SP, (("a", STAR),)), Graph(a, (("a", STAR),)), (0,), ((0,),)),
         GraphMorphism(twice, Graph(SP, (("a", STAR),)), (0, 0), ((0,),)),
         GraphMorphism(twice, twice, (1, 0), ((0,), (1,))),
     ]
+
+
+def test_pairing_inert_malformed_maps_keep_the_two_splice_path():
+    # malformed maps with identical edges are refused on either side,
+    # whatever they are paired with
+    cases = _malformed_inerts()
     rights = _singleton_fiber_morphisms(labelset("c", pointed=True))
     for m0, m1 in itertools.product(cases, rights):
-        assert _outcome(pairing_inert, m0, m1) == _reference_outcome(m0, m1)
-    assert not any(m._keeps_edges for m in cases)
+        assert _outcome(pairing_inert, m0, m1) is NotInert
+    for m in cases:
+        assert _outcome(pairing_inert, identity_morphism(Graph(SP, ())), m) is NotInert
+        assert not m._keeps_edges and not _valid_inert(m)
+
+
+def test_keeps_edges_is_valid_and_inert():
+    # the single path's premise: _keeps_edges is exactly "valid and inert"
+    ms = _singleton_fiber_morphisms(SP) + _singleton_fiber_morphisms(labelset("c", pointed=True))
+    ms += _malformed_inerts()
+    small = small_graphs(S, 2)
+    ms += [m for g, h in itertools.product(small, repeat=2) for m in enumerate_graph_morphisms(g, h)]
+    verdicts = Counter()
+    for m in ms:
+        assert m._keeps_edges == _valid_inert(m), m
+        verdicts[m._keeps_edges] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_pairing_inert_fast_path_seeded_to_accept_all(monkeypatch):
@@ -669,18 +657,21 @@ def test_enumerate_examples():
     assert enumerate_graph_morphisms(empty_graph(S), path_graph(S, ("a", "b"))) == []
 
 
-def test_enumerate_deterministic_and_bounded():
+def test_enumerate_deterministic_and_bounded(monkeypatch):
     src = Graph(S, (("a", "b"), ("b", "a")))
     tgt = Graph(S, (("a", "a"), ("a", "b")))
     assert enumerate_graph_morphisms(src, tgt) == enumerate_graph_morphisms(src, tgt)
-    with pytest.raises(SizeBoundExceeded):
-        enumerate_graph_morphisms(
-            Graph(S, (("a", "b"),) * 4), Graph(S, (("a", "b"),) * 3)
-        )
-    # an explicit bound lifts the limit
-    assert enumerate_graph_morphisms(
-        Graph(S, (("a", "a"),) * 4), Graph(S, (("a", "a"),) * 3), max_total_edges=7
-    )
+    # the bound is per graph, the one the suites put on their objects
+    assert enumerate_graph_morphisms(Graph(S, (("a", "a"),) * 4), Graph(S, (("a", "a"),) * 3))
+
+    def refuse(*args):
+        raise AssertionError("candidate built past the bound")
+
+    monkeypatch.setattr(graphs, "_morphism_candidates", refuse)
+    six = Graph(S, (("a", "b"),) * (graphs.OBJECT_EDGE_BOUND + 1))
+    for args in ((six, empty_graph(S)), (empty_graph(S), six)):
+        with pytest.raises(SizeBoundExceeded, match="6 edges per object exceeds bound 5"):
+            enumerate_graph_morphisms(*args)
 
 
 # --- operad axioms ---------------------------------------------------------
@@ -925,12 +916,11 @@ def _reference_single_edge_counts(src, alphabet):
     Computed through the public enumerator so the whole-morphism validator
     is the authority for the per-edge factors.
     """
-    n = len(src.edges)
     out = {}
     for ep in alphabet:
         tgt = Graph(src.labels, (ep,))
         grouped = {}
-        for m in enumerate_graph_morphisms(src, tgt, max_total_edges=n + 1):
+        for m in enumerate_graph_morphisms(src, tgt):
             mask = 0
             for e, v in enumerate(m.edge_map):
                 if v is not None:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from oplab import quantale
-from oplab.errors import IndexOutOfRange, InvalidLabels
+from oplab.errors import IndexOutOfRange
 from oplab.io import load_module, load_quantale
 from oplab.quantale import (
     LEFT,
@@ -18,7 +18,6 @@ from oplab.quantale import (
     join,
     left_self_module,
     lukasiewicz,
-    make_builtin,
     meet,
     module_join,
     module_meet,
@@ -44,17 +43,6 @@ BUILTINS = [boolean_quantale(), lukasiewicz(3), trivial_quantale(), noncommutati
 @pytest.mark.parametrize("q", BUILTINS)
 def test_builtins_validate(q):
     assert validate_quantale(q).ok
-
-
-def test_make_builtin():
-    assert make_builtin("boolean").size() == 2
-    luk = make_builtin("lukasiewicz", 3)
-    assert luk.size() == 4 and luk.elements[luk.unit] == "3"
-    assert make_builtin("trivial").size() == 1
-    with pytest.raises(InvalidLabels):
-        make_builtin("nope")
-    with pytest.raises(IndexOutOfRange):
-        make_builtin("lukasiewicz")
 
 
 def test_join_examples():

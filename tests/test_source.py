@@ -132,6 +132,28 @@ def test_single_check_reports_built_by_passing_or_failing():
     assert found == []
 
 
+def _raised_calls(source):
+    """The names X that the source raises as `raise X(...)`."""
+    return {
+        node.exc.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+    }
+
+
+def test_raised_calls_check_sees_each_form():
+    source = "raise A('x')\nraise B\nraise m.C()\ntry:\n    pass\nexcept D:\n    raise E() from None\n"
+    assert _raised_calls(source) == {"A", "E"}
+
+
+def test_every_typed_error_has_a_raiser():
+    # a typed error is deleted with its last raiser, not left behind
+    tree = ast.parse((SRC / "errors.py").read_text())
+    errors = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"OplabError"}
+    raised = set().union(*(_raised_calls(path.read_text()) for path in SRC.glob("*.py")))
+    assert errors and sorted(errors - raised) == []
+
+
 def test_benchmark_measured_names_exist():
     # the lookups perfbench/tracer.py makes before a traced run, without wrapping
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
