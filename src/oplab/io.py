@@ -64,28 +64,41 @@ def _parsing(where: str):
 
 
 def _typed(value, kind: type, where: str, field: str):
-    """value, when JSON gave it as kind: bool, or int (which no bool is)."""
+    """value, when JSON gave it as kind: bool, int (which no bool is), str
+    or list."""
     if type(value) is not kind:
         raise SchemaError(f"{where}: {field} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 
+def _names(value, where: str, field: str) -> tuple[str, ...]:
+    """value, when JSON gave it as a list of strings."""
+    return tuple(_typed(x, str, where, f"{field} entry") for x in _typed(value, list, where, field))
+
+
+def _rows(data: dict, key: str, where: str) -> list[list]:
+    """The table under key, when JSON gave it as a list of lists."""
+    rows = _typed(_need(data, key, where), list, where, key)
+    return [_typed(row, list, where, f"{key} row") for row in rows]
+
+
 def _leq(data: dict, where: str) -> tuple[tuple[bool, ...], ...]:
-    return tuple(tuple(_typed(v, bool, where, "leq entry") for v in row) for row in _need(data, "leq", where))
+    return tuple(tuple(_typed(v, bool, where, "leq entry") for v in row) for row in _rows(data, "leq", where))
 
 
 def _labelset(data: dict, where: str) -> LabelSet:
-    labels = _need(data, "labels", where)
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise SchemaError(f"{where}: labels must be a list of strings")
-    return LabelSet(tuple(labels), _typed(data.get("pointed", False), bool, where, "pointed"))
+    labels = _names(_need(data, "labels", where), where, "labels")
+    return LabelSet(labels, _typed(data.get("pointed", False), bool, where, "pointed"))
 
 
 def graph_from_dict(data: dict, where: str = "graph") -> Graph:
     labels = _labelset(data, where)
-    with _parsing(where):
-        edges = tuple((s, t) for s, t in _need(data, "edges", where))
-    return Graph(labels, edges)
+    edges = []
+    for edge in _typed(_need(data, "edges", where), list, where, "edges"):
+        if len(_names(edge, where, "edge")) != 2:
+            raise SchemaError(f"{where}: an edge is a list of two labels, got {edge!r}")
+        edges.append(tuple(edge))
+    return Graph(labels, tuple(edges))
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -129,19 +142,17 @@ def load_simplex(path: str | Path) -> LabeledSimplex:
     path = Path(path)
     data = _read(path)
     labels = _labelset(data, str(path))
-    with _parsing(str(path)):
-        chain = tuple(_need(data, "chain", str(path)))
-    return LabeledSimplex(labels, chain)
+    return LabeledSimplex(labels, _names(_need(data, "chain", str(path)), str(path), "chain"))
 
 
 def load_quantale(path: str | Path) -> Quantale:
     path = Path(path)
     data = _read(path)
+    elements = _names(_need(data, "elements", str(path)), str(path), "elements")
     with _parsing(str(path)):
-        elements = tuple(_need(data, "elements", str(path)))
         index = {name: i for i, name in enumerate(elements)}
         leq = _leq(data, str(path))
-        tensor = tuple(tuple(index[v] for v in row) for row in _need(data, "tensor", str(path)))
+        tensor = tuple(tuple(index[v] for v in row) for row in _rows(data, "tensor", str(path)))
         unit = index[_need(data, "unit", str(path))]
     q = Quantale(elements, leq, tensor, unit)
     validate_quantale(q).require(str(path))
@@ -156,10 +167,10 @@ def load_module(path: str | Path) -> ModuleLattice:
         side = _need(data, "side", str(path))
         if side not in (LEFT, RIGHT):
             raise SchemaError(f"{path}: side must be 'left' or 'right'")
-        elements = tuple(_need(data, "elements", str(path)))
+        elements = _names(_need(data, "elements", str(path)), str(path), "elements")
         index = {name: i for i, name in enumerate(elements)}
         leq = _leq(data, str(path))
-        action = tuple(tuple(index[v] for v in row) for row in _need(data, "action", str(path)))
+        action = tuple(tuple(index[v] for v in row) for row in _rows(data, "action", str(path)))
     m = ModuleLattice(load_quantale(base_path), side, elements, leq, action)
     validate_module(m).require(str(path))
     return m
@@ -170,7 +181,7 @@ def load_category(path: str | Path) -> EnrichedCategory:
     data = _read(path)
     with _parsing(str(path)):
         base_path = path.parent / _need(data, "quantale", str(path))
-        objects = tuple(_need(data, "objects", str(path)))
+        objects = _names(_need(data, "objects", str(path)), str(path), "objects")
         k = len(objects)
         names = [[None] * k for _ in range(k)]
         for key, value in _need(data, "hom", str(path)).items():

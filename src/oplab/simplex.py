@@ -139,18 +139,22 @@ def cut_morphism(m: DeltaOpMorphism) -> GraphMorphism:
     (edges 1-based); the fiber over target edge i is the increasing run
     g(i-1)+1 .. g(i), and source edges outside every run are deleted.
     """
-    g = m.underlying
-    a, b = m.source.dim(), m.target.dim()
-    src = cut_object(m.source)
-    tgt = cut_object(m.target)
+    edge_map, fibers = _cut_indices(m.underlying, m.source.dim())
+    src, tgt = cut_object(m.source), cut_object(m.target)
+    return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
+
+
+def _cut_indices(g: tuple[int, ...], a: int) -> tuple[tuple, tuple]:
+    """Edge map and fibers of the path image of index map g out of a chain
+    with a edges (see cut_morphism)."""
     edge_map: list[int | None] = [None] * a
     fibers = []
-    for i in range(b):
+    for i in range(len(g) - 1):
         lo, hi = g[i], g[i + 1]
         fibers.append(tuple(range(lo, hi)))
         for j in range(lo, hi):
             edge_map[j] = i
-    return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=tuple(edge_map), fibers=tuple(fibers))
+    return tuple(edge_map), tuple(fibers)
 
 
 def classify_delta(m: DeltaOpMorphism) -> DeltaClass:
@@ -243,19 +247,20 @@ def cartesian_lift(
         chain.append(t)
     if chain[-1] != target.chain[-1]:
         raise NotAPath("path does not end at the final label")
-    indices = [0]
-    k = 0
-    for fib in phi.fibers:
-        k += len(fib)
-        indices.append(k)
+    indices = tuple(itertools.accumulate(map(len, phi.fibers), initial=0))
     source = LabeledSimplex(target.labels, tuple(chain))
-    lift = DeltaOpMorphism(source, target, tuple(indices))
-    cut = cut_morphism(lift)
-    transported = GraphMorphism(
-        phi.source,
-        phi.target,
-        tuple(cut.edge_map[order.index(e)] if e in order else None for e in range(len(src_edges))),
-        tuple(tuple(order[e] for e in fib) for fib in cut.fibers),
+    lift = DeltaOpMorphism(source, target, indices)
+    # the lift's path image as index data: no path graph of the new chain
+    edge_map, fibers = _cut_indices(lift.underlying, source.dim())
+    position: dict[int, int] = {}
+    for k, e in enumerate(order):
+        position.setdefault(e, k)  # an edge listed twice keeps its first place
+    transported = _unchecked(
+        GraphMorphism,
+        source=phi.source,
+        target=phi.target,
+        edge_map=tuple(edge_map[position[e]] if e in position else None for e in range(len(src_edges))),
+        fibers=tuple(tuple(order[k] for k in fib) for fib in fibers),
     )
     if transported != phi:
         raise NotAPath("reconstructed morphism disagrees with the input")
@@ -275,12 +280,21 @@ def enumerate_simplices(labels: LabelSet, max_len: int) -> list[LabeledSimplex]:
 
 
 def enumerate_delta_morphisms(a: LabeledSimplex, b: LabeledSimplex) -> list[DeltaOpMorphism]:
-    """All chain morphisms a -> b (monotone label-preserving index maps)."""
-    out = []
-    for g in itertools.combinations_with_replacement(range(a.dim() + 1), b.dim() + 1):
-        if all(a.chain[g[i]] == b.chain[i] for i in range(b.dim() + 1)):
-            out.append(_unchecked(DeltaOpMorphism, source=a, target=b, underlying=g))
-    return out
+    """All chain morphisms a -> b (monotone label-preserving index maps), in
+    lexicographic order of their index maps.
+
+    The maps grow one target position at a time, each taking a position of
+    a that carries the target's label there and is at least the previous
+    index, so no complete map is built only to be discarded.
+    """
+    positions: dict[str, list[int]] = {}
+    for v, x in enumerate(a.chain):
+        positions.setdefault(x, []).append(v)
+    maps = [()]
+    for x in b.chain:
+        allowed = positions.get(x, ())
+        maps = [g + (v,) for g in maps for v in allowed if not g or v >= g[-1]]
+    return [_unchecked(DeltaOpMorphism, source=a, target=b, underlying=g) for g in maps]
 
 
 def _check_inert_chain_lifts(simplices) -> Check:

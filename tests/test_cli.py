@@ -84,10 +84,20 @@ def test_invalid_artifact_exits_two(tmp_path):
         ("module", "chain3_left_module.json", "leq", [[True, True, True], [0, True, True], [False, False, True]]),
         ("morphism", "morphism.json", "edge_map", [True, True]),
         ("morphism", "morphism.json", "fibers", {"1": [True, 2]}),
+        # list fields given as strings, which iterate like lists of names,
+        # and edges that are not two labels
+        ("graph", "graph.json", "edges", ["ab", "ba"]),
+        ("graph", "graph.json", "edges", [["a", "b", "a"]]),
+        ("graph", "graph.json", "edges", [["a", 1]]),
+        ("simplex", "simplex.json", "chain", "aba"),
+        ("category", "preorder.json", "objects", "xy"),
+        ("quantale", "boolean.json", "tensor", ["00", "01"]),
     ],
     ids=[
         "hom-list", "leq-int", "unit-list", "edge-map-str", "fibers-list",
         "pointed-str", "leq-str", "module-leq-int", "edge-map-bool", "fiber-bool",
+        "edges-str", "edge-three-labels", "edge-int", "chain-str", "objects-str",
+        "tensor-rows-str",
     ],
 )
 def test_malformed_field_exits_two(tmp_path, kind, fixture, field, value):
@@ -99,6 +109,32 @@ def test_malformed_field_exits_two(tmp_path, kind, fixture, field, value):
     report, code = run(["validate", kind, str(bad)])
     assert (report.status, code) == ("error", 2)
     assert report.checks[0].witness.startswith("SchemaError: "), report.checks[0].witness
+
+
+@pytest.mark.parametrize(
+    "kind, fixture, fields",
+    [
+        ("quantale", "boolean.json", {"elements": [0, 1], "tensor": [[0, 0], [0, 1]], "unit": 1}),
+        (
+            "module",
+            "chain3_left_module.json",
+            {"elements": [0, 1, 2], "action": [[0, 0, 0], [0, 1, 2]]},
+        ),
+    ],
+    ids=["quantale", "module"],
+)
+def test_element_names_must_be_strings(tmp_path, kind, fixture, fields):
+    # integer names, used consistently, would otherwise load and validate
+    data = json.loads((FIXTURES / fixture).read_text())
+    data.update(fields)
+    (tmp_path / "boolean.json").write_text((FIXTURES / "boolean.json").read_text())
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(data))
+    report, code = run(["--deterministic", "validate", kind, str(bad)])
+    assert (report.status, code) == ("error", 2)
+    assert report.checks[0].witness == (
+        f"SchemaError: {bad}: elements entry must be a JSON str, got 0"
+    )
 
 
 @pytest.mark.parametrize(

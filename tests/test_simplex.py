@@ -1,10 +1,11 @@
 import inspect
+import itertools
 from collections import Counter
 
 import pytest
 
 from oplab import graphs, simplex
-from oplab.errors import InvalidLabels, NotActive, SourceTargetMismatch, ValidationError
+from oplab.errors import InvalidLabels, NotActive, NotAPath, SourceTargetMismatch, ValidationError
 from oplab.graphs import (
     Graph,
     GraphMorphism,
@@ -171,6 +172,63 @@ def test_cartesian_lift_roundtrip_on_actives():
                     assert cartesian_lift(b, cm) == (a, m)
 
 
+def test_cartesian_lift_builds_no_path_graph(monkeypatch):
+    # the lift is checked against phi on index data; only the target's
+    # path graph, built before the call, is read
+    target = LabeledSimplex(S, ("a", "b", "a"))
+    src = Graph(S, (("b", "a"), ("a", "b"), ("b", "b")))
+    phi = GraphMorphism(src, cut_object(target), (1, 0, 0), ((1, 2), (0,)))
+    built = []
+    monkeypatch.setattr(simplex, "path_graph", lambda *args: built.append(args))
+    source, lift = cartesian_lift(target, phi)
+    assert (source.chain, lift.underlying, built) == (("a", "b", "b", "a"), (0, 2, 3), [])
+
+
+def test_cartesian_lift_places_a_repeated_edge_by_its_first_fiber():
+    # not a valid morphism (one edge in two fibers), but active and a path;
+    # the edge's image must be the first fiber that lists it
+    loop = LabeledSimplex(labelset("a"), ("a", "a", "a"))
+    src = Graph(labelset("a"), (("a", "a"),))
+    first = GraphMorphism(src, cut_object(loop), (0,), ((0,), (0,)))
+    assert cartesian_lift(loop, first)[1].underlying == (0, 1, 2)
+    with pytest.raises(NotAPath):
+        cartesian_lift(loop, GraphMorphism(src, cut_object(loop), (1,), ((0,), (0,))))
+
+
+def test_cartesian_lift_cross_check_can_fail(monkeypatch):
+    # reversing one fiber of the shared cut index data must be caught by the
+    # comparison with phi, on every round trip with a multi-edge fiber
+    real = simplex._cut_indices
+
+    def defective(g, a):
+        edge_map, fibers = real(g, a)
+        k = next((i for i, fib in enumerate(fibers) if len(fib) > 1), None)
+        if k is not None:
+            fibers = fibers[:k] + (fibers[k][::-1],) + fibers[k + 1 :]
+        return edge_map, fibers
+
+    target = LabeledSimplex(S, ("a", "b"))
+    phi = GraphMorphism(Graph(S, (("a", "b"), ("b", "b"))), cut_object(target), (0, 0), ((0, 1),))
+    chains = enumerate_simplices(S, 4)
+    round_trips = []
+    for a in chains:
+        for b in chains:
+            for m in enumerate_delta_morphisms(a, b):
+                cm = cut_morphism(m)
+                if classify_graph_morphism(cm) in (MapClass.ACTIVE, MapClass.BOTH) and any(
+                    len(fib) > 1 for fib in cm.fibers
+                ):
+                    round_trips.append((b, cm))
+    assert cartesian_lift(target, phi)[1].underlying == (0, 2)
+    monkeypatch.setattr(simplex, "_cut_indices", defective)
+    with pytest.raises(NotAPath, match="disagrees with the input"):
+        cartesian_lift(target, phi)
+    assert round_trips
+    for b, cm in round_trips:
+        with pytest.raises(NotAPath):
+            cartesian_lift(b, cm)
+
+
 def test_lcut_marking_rules_spot():
     # a non-totally-inert inert morphism is marked only at level 1
     big = LabeledSimplex(S, ("a", "b", "a"))
@@ -186,6 +244,61 @@ def test_lcut_marking_rules_spot():
 def test_check_approximation_small():
     rep = check_approximation(labelset("a"), 2)
     assert rep.ok, rep.first_failure()
+
+
+# ---------------------------------------------------------------------------
+# The label-position enumerator against the filter over every monotone map.
+
+
+def _reference_delta_morphisms(a, b):
+    return [
+        DeltaOpMorphism(a, b, g)
+        for g in itertools.combinations_with_replacement(range(a.dim() + 1), b.dim() + 1)
+        if all(a.chain[g[i]] == b.chain[i] for i in range(b.dim() + 1))
+    ]
+
+
+ENUMERATOR_BOUNDS = [(("a",), 4), (("a", "b"), 4), (("a", "b", "c"), 4), (("a", "b"), 5)]
+
+
+def _first_enumerator_mismatch(enumerate_homs):
+    """The first chain pair on which enumerate_homs differs from the
+    reference, in list or order, or None."""
+    for labels, max_len in ENUMERATOR_BOUNDS:
+        chains = enumerate_simplices(labelset(*labels), max_len)
+        for a in chains:
+            for b in chains:
+                if enumerate_homs(a, b) != _reference_delta_morphisms(a, b):
+                    return a.chain, b.chain
+    return None
+
+
+def test_enumerator_matches_reference():
+    assert _first_enumerator_mismatch(enumerate_delta_morphisms) is None
+
+
+def test_enumerator_reference_sees_strict_monotonicity():
+    # seeded defect: a strict comparison in the monotonicity guard drops
+    # every degeneracy (a repeated index)
+    source = inspect.getsource(simplex.enumerate_delta_morphisms)
+    assert source.count("v >= g[-1]") == 1
+    namespace = dict(vars(simplex))
+    exec(source.replace("v >= g[-1]", "v > g[-1]"), namespace)
+    assert _first_enumerator_mismatch(namespace["enumerate_delta_morphisms"]) == (("a",), ("a", "a"))
+
+
+def test_enumerator_builds_each_morphism_once(monkeypatch):
+    real = simplex._unchecked
+    built = Counter()
+
+    def counting(cls, **fields):
+        built[cls] += 1
+        return real(cls, **fields)
+
+    monkeypatch.setattr(simplex, "_unchecked", counting)
+    chains = enumerate_simplices(S, 4)
+    returned = sum(len(enumerate_delta_morphisms(a, b)) for a in chains for b in chains)
+    assert built == {DeltaOpMorphism: returned} and returned == 1440
 
 
 # ---------------------------------------------------------------------------
