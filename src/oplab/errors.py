@@ -10,10 +10,6 @@ class OplabError(Exception):
     """Base class for all engine errors."""
 
 
-class SizeMismatch(OplabError):
-    """Pointed maps do not chain."""
-
-
 class IndexOutOfRange(OplabError):
     """An index fell outside the declared set."""
 

@@ -325,29 +325,6 @@ def classify_graph_morphism(m: GraphMorphism) -> MapClass:
     return m._class
 
 
-def factorize_graph_morphism(m: GraphMorphism) -> tuple[GraphMorphism, GraphMorphism]:
-    """Split into a deletion (inert) followed by an active morphism.
-
-    The intermediate graph keeps the non-deleted edges in source order.
-    """
-    kept = [e for e, v in enumerate(m.edge_map) if v is not None]
-    rank = {e: k for k, e in enumerate(kept)}
-    mid = Graph(m.source.labels, tuple(m.source.edges[e] for e in kept))
-    inert = GraphMorphism(
-        m.source,
-        mid,
-        tuple(rank.get(e) for e in range(len(m.source.edges))),
-        tuple((e,) for e in kept),
-    )
-    active = GraphMorphism(
-        mid,
-        m.target,
-        tuple(m.edge_map[e] for e in kept),
-        tuple(tuple(rank[e] for e in fib) for fib in m.fibers),
-    )
-    return inert, active
-
-
 def delete_edge(labels: LabelSet, x: str, y: str) -> GraphMorphism:
     """Generator (x,y) -> empty."""
     g = path_graph(labels, (x, y))
@@ -703,7 +680,8 @@ def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Chec
             return Check("segal-objects", False, f"fiber over <{n}> has {len(fiber)} objects")
         restrictions = set()
         for g in fiber:
-            # restriction along each rho^i is the single-edge subgraph at i
+            # the restriction along the inert map keeping only edge i is
+            # the single-edge subgraph at i
             restrictions.add(tuple(Graph(g.labels, (g.edges[i],)) for i in range(n)))
         if len(restrictions) != len(fiber):
             return Check("segal-objects", False, f"<{n}>: restrictions not injective")

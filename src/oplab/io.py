@@ -34,11 +34,13 @@ from .simplex import LabeledSimplex
 
 def _read(path: Path) -> dict:
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} is not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be an object")
     return data
@@ -209,33 +211,33 @@ def _value_table(c: EnrichedCategory, module: ModuleLattice, data: dict, where: 
     return tuple(module.index(v) for v in names)
 
 
-def load_presheaf(path: str | Path) -> Presheaf:
+def _load_value_table(path, co: bool, wrong_side: str, cls, validate, self_module):
+    """The presheaf (co false) or copresheaf (co true) of class cls in the
+    file at path. Its "side" field must say "co" exactly when co is true,
+    else SchemaError gives wrong_side; "module": "self" means self_module of
+    the base."""
     path = Path(path)
     data = _read(path)
-    if data.get("side") == "co":
-        raise SchemaError(f"{path}: this file holds a copresheaf")
+    if (data.get("side") == "co") != co:
+        raise SchemaError(f"{path}: {wrong_side}")
     with _parsing(str(path)):
         category_path = path.parent / _need(data, "category", str(path))
         module_ref = _need(data, "module", str(path))
         module_path = None if module_ref == "self" else path.parent / module_ref
     c = load_category(category_path)
-    module = left_self_module(c.base) if module_path is None else load_module(module_path)
-    f = Presheaf(c, module, _value_table(c, module, data, str(path)))
-    validate_presheaf(f).require(str(path))
+    module = self_module(c.base) if module_path is None else load_module(module_path)
+    f = cls(c, module, _value_table(c, module, data, str(path)))
+    validate(f).require(str(path))
     return f
 
 
+def load_presheaf(path: str | Path) -> Presheaf:
+    return _load_value_table(
+        path, False, "this file holds a copresheaf", Presheaf, validate_presheaf, left_self_module
+    )
+
+
 def load_copresheaf(path: str | Path) -> Copresheaf:
-    path = Path(path)
-    data = _read(path)
-    if data.get("side") != "co":
-        raise SchemaError(f"{path}: copresheaf files carry \"side\": \"co\"")
-    with _parsing(str(path)):
-        category_path = path.parent / _need(data, "category", str(path))
-        module_ref = _need(data, "module", str(path))
-        module_path = None if module_ref == "self" else path.parent / module_ref
-    c = load_category(category_path)
-    module = right_self_module(c.base) if module_path is None else load_module(module_path)
-    g = Copresheaf(c, module, _value_table(c, module, data, str(path)))
-    validate_copresheaf(g).require(str(path))
-    return g
+    return _load_value_table(
+        path, True, 'copresheaf files carry "side": "co"', Copresheaf, validate_copresheaf, right_self_module
+    )

@@ -1,4 +1,5 @@
-"""Pointed finite sets and basepoint-preserving maps.
+"""Pointed finite sets and basepoint-preserving maps: the target of
+graphs.underlying_pointed, and the inert/active classes it keeps.
 
 The pointed set of size n has non-basepoint elements 1..n; the image 0
 encodes the basepoint, which is never stored as a domain element.
@@ -8,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import IndexOutOfRange, SizeMismatch
+from .errors import IndexOutOfRange
 
 
 class MapClass(Enum):
@@ -34,71 +35,3 @@ class PointedMap:
         for i, v in enumerate(self.images):
             if not 0 <= v <= self.codomain_size:
                 raise IndexOutOfRange(f"image of {i + 1} is {v}, outside [0, {self.codomain_size}]")
-
-    def __call__(self, i: int) -> int:
-        """Image of the element i (1-based); 0 means the basepoint."""
-        if not 1 <= i <= self.domain_size:
-            raise IndexOutOfRange(f"element {i} outside <{self.domain_size}>")
-        return self.images[i - 1]
-
-
-def identity_pointed(n: int) -> PointedMap:
-    return PointedMap(n, n, tuple(range(1, n + 1)))
-
-
-def compose_pointed(f: PointedMap, g: PointedMap) -> PointedMap:
-    """The composite g after f, written as f then g."""
-    if f.codomain_size != g.domain_size:
-        raise SizeMismatch(
-            f"cannot chain <{f.domain_size}>-><{f.codomain_size}> with "
-            f"<{g.domain_size}>-><{g.codomain_size}>"
-        )
-    images = tuple(0 if v == 0 else g.images[v - 1] for v in f.images)
-    return PointedMap(f.domain_size, g.codomain_size, images)
-
-
-def classify_pointed(f: PointedMap) -> MapClass:
-    """Inert: every non-basepoint fiber is a singleton. Active: nothing deleted."""
-    counts = [0] * f.codomain_size
-    active = True
-    for v in f.images:
-        if v == 0:
-            active = False
-        else:
-            counts[v - 1] += 1
-    inert = all(c == 1 for c in counts)
-    if inert and active:
-        return MapClass.BOTH
-    if inert:
-        return MapClass.INERT
-    if active:
-        return MapClass.ACTIVE
-    return MapClass.NEITHER
-
-
-def factorize_pointed(f: PointedMap) -> tuple[PointedMap, PointedMap]:
-    """Split f as an inert map followed by an active map.
-
-    The intermediate set is the increasing enumeration of the domain
-    elements not sent to the basepoint, so the factorization is canonical.
-    """
-    survivors = [i for i, v in enumerate(f.images) if v != 0]
-    rank = {e: k + 1 for k, e in enumerate(survivors)}
-    inert = PointedMap(
-        f.domain_size,
-        len(survivors),
-        tuple(rank.get(i, 0) for i in range(f.domain_size)),
-    )
-    active = PointedMap(
-        len(survivors),
-        f.codomain_size,
-        tuple(f.images[e] for e in survivors),
-    )
-    return inert, active
-
-
-def rho(n: int, i: int) -> PointedMap:
-    """The map <n> -> <1> keeping only the element i."""
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"rho index {i} outside 1..{n}")
-    return PointedMap(n, 1, tuple(1 if j == i else 0 for j in range(1, n + 1)))

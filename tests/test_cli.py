@@ -43,13 +43,18 @@ def test_validate_pass_exit_zero():
         assert report.timing_ms == 0
 
 
-def test_schema_error_exits_two(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b"\xff\xfe\x00bad", b"[" * 100000 + b"]" * 100000],
+    ids=["not-json", "not-utf8", "deeply-nested"],
+)
+def test_schema_error_exits_two(tmp_path, content):
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
+    bad.write_bytes(content)
     report, code = run(["validate", "quantale", str(bad)])
     assert code == 2
     assert report.status == "error"
-    assert report.checks[0].witness
+    assert report.checks[0].witness.startswith("SchemaError: ")
 
 
 def test_invalid_artifact_exits_two(tmp_path):

@@ -34,7 +34,6 @@ from oplab.graphs import (
     enumerate_graph_morphisms,
     enumerate_inert_from,
     enumerate_objects,
-    factorize_graph_morphism,
     identity_morphism,
     is_left_modular,
     is_right_modular,
@@ -214,39 +213,13 @@ def test_classes_closed_under_composition():
                         assert ch in (MapClass.ACTIVE, MapClass.BOTH)
 
 
-# --- classification and factorization ------------------------------------
+# --- classification ------------------------------------------------------
 
 
 def test_classify_generators():
     assert classify_graph_morphism(delete_edge(S, "a", "b")) is MapClass.INERT
     assert classify_graph_morphism(add_loop(S, "a")) is MapClass.ACTIVE
     assert classify_graph_morphism(contract_path(S, ("a", "b", "a"))) is MapClass.ACTIVE
-
-
-def test_factorize_mixed_morphism():
-    # delete edge 0, contract edges 1 and 2
-    src = Graph(S, (("a", "a"), ("a", "b"), ("b", "a")))
-    tgt = Graph(S, (("a", "a"),))
-    m = GraphMorphism(src, tgt, (None, 0, 0), ((1, 2),))
-    inert, active = factorize_graph_morphism(m)
-    assert classify_graph_morphism(inert) is MapClass.INERT
-    assert classify_graph_morphism(active) in (MapClass.ACTIVE, MapClass.BOTH)
-    assert inert.target.edges == (("a", "b"), ("b", "a"))
-    assert compose_graph_morphisms(inert, active) == m
-
-
-def test_factorize_exhaustive():
-    for a, b in itertools.product(small_graphs(S, 2), repeat=2):
-        for m in enumerate_graph_morphisms(a, b):
-            inert, active = factorize_graph_morphism(m)
-            assert validate_morphism(inert).ok and validate_morphism(active).ok
-            assert classify_graph_morphism(inert) in (MapClass.INERT, MapClass.BOTH)
-            assert classify_graph_morphism(active) in (MapClass.ACTIVE, MapClass.BOTH)
-            assert compose_graph_morphisms(inert, active) == m
-            if classify_graph_morphism(m) is MapClass.INERT:
-                assert inert == m
-            if classify_graph_morphism(m) is MapClass.ACTIVE:
-                assert active == m
 
 
 # --- generators -----------------------------------------------------------

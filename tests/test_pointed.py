@@ -1,143 +1,59 @@
-import itertools
-
 import pytest
-from hypothesis import given, strategies as st
 
-from oplab.errors import IndexOutOfRange, SizeMismatch
-from oplab.pointed import (
-    MapClass,
-    PointedMap,
-    classify_pointed,
-    compose_pointed,
-    factorize_pointed,
-    identity_pointed,
-    rho,
+from oplab.errors import IndexOutOfRange
+from oplab.graphs import (
+    Graph,
+    classify_graph_morphism,
+    compose_graph_morphisms,
+    enumerate_graph_morphisms,
+    labelset,
+    underlying_pointed,
 )
+from oplab.pointed import MapClass, PointedMap
 
 
-def all_maps(n, m):
-    for images in itertools.product(range(m + 1), repeat=n):
-        yield PointedMap(n, m, images)
-
-
-def test_compose_projections():
-    f = PointedMap(3, 2, (0, 1, 2))
-    g = rho(2, 2)
-    assert compose_pointed(f, g).images == (0, 0, 1)
-    assert compose_pointed(f, g) == rho(3, 3)
-
-
-def test_compose_identity():
-    f = PointedMap(2, 2, (2, 0))
-    assert compose_pointed(identity_pointed(2), f) == f
-    assert compose_pointed(f, identity_pointed(2)) == f
-
-
-def test_involution_squares_to_identity():
-    swap = PointedMap(2, 2, (2, 1))
-    assert compose_pointed(swap, swap) == identity_pointed(2)
-
-
-def test_compose_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        compose_pointed(PointedMap(1, 2, (1,)), PointedMap(3, 1, (0, 0, 1)))
-
-
-def test_classify_examples():
-    assert classify_pointed(rho(3, 2)) is MapClass.INERT
-    assert classify_pointed(PointedMap(2, 1, (1, 1))) is MapClass.ACTIVE
-    assert classify_pointed(PointedMap(2, 2, (0, 1))) is MapClass.NEITHER
-    assert classify_pointed(identity_pointed(3)) is MapClass.BOTH
-
-
-def test_factorize_deletion():
-    f = PointedMap(2, 1, (0, 1))
-    inert, active = factorize_pointed(f)
-    assert inert == rho(2, 2)
-    assert active == identity_pointed(1)
-    assert compose_pointed(inert, active) == f
-
-
-def test_factorize_active_input():
-    f = PointedMap(3, 2, (1, 1, 2))
-    inert, active = factorize_pointed(f)
-    assert inert == identity_pointed(3)
-    assert active == f
-
-
-def test_factorize_inert_input():
-    f = PointedMap(3, 2, (0, 1, 2))
-    inert, active = factorize_pointed(f)
-    assert inert == f
-    assert active == identity_pointed(2)
-
-
-def test_rho_values():
-    assert rho(3, 2).images == (0, 1, 0)
-    assert rho(1, 1).images == (1,)
-    for n in range(1, 7):
-        for i in range(1, n + 1):
-            assert classify_pointed(rho(n, i)) in (MapClass.INERT, MapClass.BOTH)
+@pytest.mark.parametrize(
+    "domain_size,codomain_size,images",
+    [(-1, 1, ()), (2, 1, (1,)), (1, 1, (2,))],
+    ids=["negative-size", "wrong-count", "image-out-of-range"],
+)
+def test_images_out_of_range_rejected(domain_size, codomain_size, images):
     with pytest.raises(IndexOutOfRange):
-        rho(3, 0)
-    with pytest.raises(IndexOutOfRange):
-        rho(3, 4)
+        PointedMap(domain_size, codomain_size, images)
 
 
-def test_images_out_of_range_rejected():
-    with pytest.raises(IndexOutOfRange):
-        PointedMap(1, 1, (2,))
+# Every pointed map <n> -> <m> is the underlying map of a morphism between
+# the graphs of n and m loops at one vertex, so the morphisms between these
+# graphs reach every pointed map of at most 3 elements.
+LOOPS = [Graph(labelset("a"), (("a", "a"),) * n) for n in range(4)]
+INERT = (MapClass.INERT, MapClass.BOTH)
+ACTIVE = (MapClass.ACTIVE, MapClass.BOTH)
+
+
+def _keeps_class(m) -> bool:
+    """Does underlying_pointed(m) have m's class? Inert: every target
+    element has exactly one preimage. Active: nothing goes to the basepoint."""
+    images = underlying_pointed(m).images
+    cls = classify_graph_morphism(m)
+    inert = sorted(v for v in images if v) == list(range(1, len(m.target.edges) + 1))
+    return (cls in INERT) == inert and (cls in ACTIVE) == (0 not in images)
 
 
 @pytest.mark.parametrize("n,m,k", [(n, m, k) for n in range(4) for m in range(4) for k in range(4)])
 def test_classes_closed_under_composition(n, m, k):
-    for f in all_maps(n, m):
-        cf = classify_pointed(f)
-        for g in all_maps(m, k):
-            cg = classify_pointed(g)
-            ch = classify_pointed(compose_pointed(f, g))
-            if cf in (MapClass.INERT, MapClass.BOTH) and cg in (MapClass.INERT, MapClass.BOTH):
-                assert ch in (MapClass.INERT, MapClass.BOTH)
-            if cf in (MapClass.ACTIVE, MapClass.BOTH) and cg in (MapClass.ACTIVE, MapClass.BOTH):
-                assert ch in (MapClass.ACTIVE, MapClass.BOTH)
-
-
-def test_factorize_recomposes_exhaustively():
-    for n in range(5):
-        for m in range(5):
-            for f in all_maps(n, m):
-                inert, active = factorize_pointed(f)
-                assert classify_pointed(inert) in (MapClass.INERT, MapClass.BOTH)
-                assert classify_pointed(active) in (MapClass.ACTIVE, MapClass.BOTH)
-                assert compose_pointed(inert, active) == f
-
-
-def test_both_is_a_bijection():
-    for n in range(5):
-        for f in all_maps(n, n):
-            if classify_pointed(f) is MapClass.BOTH:
-                assert sorted(f.images) == list(range(1, n + 1))
-
-
-@st.composite
-def pointed_maps(draw, max_size=6):
-    n = draw(st.integers(0, max_size))
-    m = draw(st.integers(0, max_size))
-    images = tuple(draw(st.integers(0, m)) for _ in range(n))
-    return PointedMap(n, m, images)
-
-
-@given(pointed_maps())
-def test_factorize_recomposes_random(f):
-    inert, active = factorize_pointed(f)
-    assert compose_pointed(inert, active) == f
-
-
-@given(st.data())
-def test_compose_associative_random(data):
-    f = data.draw(pointed_maps())
-    g_images = tuple(data.draw(st.integers(0, 4)) for _ in range(f.codomain_size))
-    g = PointedMap(f.codomain_size, 4, g_images)
-    h_images = tuple(data.draw(st.integers(0, 3)) for _ in range(4))
-    h = PointedMap(4, 3, h_images)
-    assert compose_pointed(compose_pointed(f, g), h) == compose_pointed(f, compose_pointed(g, h))
+    for f in enumerate_graph_morphisms(LOOPS[n], LOOPS[m]):
+        cf = classify_graph_morphism(f)
+        assert _keeps_class(f)
+        for g in enumerate_graph_morphisms(LOOPS[m], LOOPS[k]):
+            cg = classify_graph_morphism(g)
+            h = compose_graph_morphisms(f, g)
+            ch = classify_graph_morphism(h)
+            if cf in INERT and cg in INERT:
+                assert ch in INERT
+            if cf in ACTIVE and cg in ACTIVE:
+                assert ch in ACTIVE
+            # the projection to pointed sets is a functor
+            g_images = underlying_pointed(g).images
+            assert underlying_pointed(h).images == tuple(
+                0 if v == 0 else g_images[v - 1] for v in underlying_pointed(f).images
+            )
