@@ -214,19 +214,9 @@ class GraphMorphism:
 
     @read_once
     def _keeps_edges(self) -> bool:
-        """Edge-preserving inert: the label set is kept, and each target
-        edge's fiber is one identical source edge, which the edge map alone
-        sends to it. This holds exactly when validate_morphism accepts the
-        morphism and it is inert (class INERT or BOTH)."""
-        edge_map, src = self.edge_map, self.source.edges
-        return (
-            self.source.labels == self.target.labels
-            and len(edge_map) - edge_map.count(None) == len(self.fibers)
-            and all(
-                len(fib) == 1 and edge_map[fib[0]] == j and src[fib[0]] == edge
-                for j, (fib, edge) in enumerate(zip(self.fibers, self.target.edges))
-            )
-        )
+        """Valid and inert (class INERT or BOTH): each target edge's fiber is
+        one identical source edge, which the edge map alone sends to it."""
+        return validate_morphism(self).ok and self._class in (MapClass.INERT, MapClass.BOTH)
 
 
 def identity_morphism(g: Graph) -> GraphMorphism:
@@ -259,29 +249,37 @@ _MORPHISM_OK = passing("morphism")
 
 
 def validate_morphism(m: GraphMorphism) -> ValidationReport:
-    """Check the structural and path conditions; stop at the first violation.
+    """Check the label sets, then the structural and path conditions of
+    _validate_indices; stop at the first violation."""
+    if m.source.labels is not m.target.labels and m.source.labels != m.target.labels:
+        return failing("label-sets", f"{m.source.labels} vs {m.target.labels}")
+    return _validate_indices(m.source.edges, m.target.edges, m.edge_map, m.fibers)
+
+
+def _validate_indices(src_edges, tgt_edges, edge_map, fibers) -> ValidationReport:
+    """The fiber-partition and path conditions of the morphism with this
+    edge map and these fibers between graphs with these edges; stop at the
+    first violation.
 
     Every passing morphism gets the same immutable report.
     """
-    if m.source.labels is not m.target.labels and m.source.labels != m.target.labels:
-        return failing("label-sets", f"{m.source.labels} vs {m.target.labels}")
     seen: set[int] = set()
-    for i, fib in enumerate(m.fibers):
+    for i, fib in enumerate(fibers):
         for e in fib:
-            if m.edge_map[e] != i:
-                return failing("fiber-partition", f"edge {e} listed under target {i} but mapped to {m.edge_map[e]}")
+            if edge_map[e] != i:
+                return failing("fiber-partition", f"edge {e} listed under target {i} but mapped to {edge_map[e]}")
             if e in seen:
                 return failing("fiber-partition", f"edge {e} listed twice")
             seen.add(e)
-    for e, v in enumerate(m.edge_map):
+    for e, v in enumerate(edge_map):
         if v is not None and e not in seen:
             return failing("fiber-partition", f"edge {e} mapped to {v} but missing from its fiber")
-    for i, fib in enumerate(m.fibers):
-        s, t = m.target.edges[i]
+    for i, fib in enumerate(fibers):
+        s, t = tgt_edges[i]
         if not fib:
             if s != t:
                 return failing("condition-one", f"target edge {i} ({s},{t}) has empty fiber but is not a loop")
-        elif not _chain_ok(m.source.edges, fib, s, t):
+        elif not _chain_ok(src_edges, fib, s, t):
             return failing("condition-two", f"fiber {fib} of target edge {i} is not a path ({s},{t})")
     return _MORPHISM_OK
 
@@ -548,7 +546,7 @@ def enumerate_graph_morphisms(src: Graph, tgt: Graph) -> list[GraphMorphism]:
     A graph of more than OBJECT_EDGE_BOUND edges, the bound every suite
     enforces on its objects, raises SizeBoundExceeded before any candidate
     is built. Candidates come from the chain-pool search of
-    _morphism_candidates; each one must pass validate_morphism.
+    _morphism_candidates; each one must pass _validate_indices.
     """
     edges = max(len(src.edges), len(tgt.edges))
     if edges > OBJECT_EDGE_BOUND:
@@ -557,15 +555,14 @@ def enumerate_graph_morphisms(src: Graph, tgt: Graph) -> list[GraphMorphism]:
         raise LabelSetMismatch(f"{src.labels} vs {tgt.labels}")
     out = []
     for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, {}):
-        cand = _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
-        rep = validate_morphism(cand)
+        rep = _validate_indices(src.edges, tgt.edges, edge_map, fibers)
         if not rep.ok:
             failure = rep.first_failure()
             raise InvalidCandidate(
                 f"{src.edges} -> {tgt.edges}: candidate {edge_map} with fibers {fibers} "
                 f"rejected by {failure.name}: {failure.witness}"
             )
-        out.append(cand)
+        out.append(_unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers))
     out.sort(key=_morphism_sort_key)
     return out
 
@@ -643,7 +640,7 @@ def _inert_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     """
     for g in _orbit_sources(objects, alphabet, reduced):
         n = len(g.edges)
-        bases: set[PointedMap] = set()
+        bases: set[tuple[int, ...]] = set()
         for lift in enumerate_inert_from(g):
             rep = validate_morphism(lift)
             if not rep.ok:
@@ -651,9 +648,9 @@ def _inert_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
                 return Check("inert-lifts", False, witness)
             if classify_graph_morphism(lift) not in (MapClass.INERT, MapClass.BOTH):
                 return Check("inert-lifts", False, f"lift {lift.edge_map} at {g.edges} is not inert")
-            base = underlying_pointed(lift)
+            base = _base_map(lift.edge_map)
             if base in bases:
-                return Check("inert-lifts", False, f"two lifts over {base.images} at {g.edges}")
+                return Check("inert-lifts", False, f"two lifts over {base} at {g.edges}")
             bases.add(base)
         want = sum(math.perm(n, m) for m in range(n + 1))
         if len(bases) != want:
@@ -688,14 +685,11 @@ def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Chec
     return Check("segal-objects", True, f"fibers match {len(alphabet)}^n for n<={max_edges}")
 
 
-def _validated_count(src: Graph, tgt: Graph, edge_map, orders) -> int:
-    """How many morphisms src -> tgt with this edge map and these path
-    orders per target edge validate_morphism accepts."""
+def _validated_count(src_edges, tgt_edges, edge_map, orders) -> int:
+    """How many morphisms with this edge map and these path orders per
+    target edge _validate_indices accepts."""
     return sum(
-        validate_morphism(
-            _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
-        ).ok
-        for fibers in itertools.product(*orders)
+        _validate_indices(src_edges, tgt_edges, edge_map, fibers).ok for fibers in itertools.product(*orders)
     )
 
 
@@ -729,21 +723,20 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     counts as the number of distinct orderings of its source times that of
     its target.
     """
-    index = {g.edges: (k, g) for k, g in enumerate(objects)}
-    weight = {g.edges: _orderings(g.edges) if reduced else 1 for g in objects}
-    depth = max(len(g.edges) for g in objects)
+    # position in objects and pair weight of each target, by its edge tuple
+    index = {g.edges: (k, _orderings(g.edges) if reduced else 1) for k, g in enumerate(objects)}
+    depth = max(map(len, index))
     pools: dict = {}
     pairs_checked = 0
     for src in _orbit_sources(objects, alphabet, reduced):
         n = len(src.edges)
-        src_weight = weight[src.edges]
+        src_weight = index[src.edges][1]
         edge_pools = [_chain_pool(src.edges, s, t, pools) for s, t in alphabet]
         factors = []
         if depth:
             for ep, pool in zip(alphabet, edge_pools):
-                tgt = index[(ep,)][1]
                 factors.append({
-                    mask: _validated_count(src, tgt, _pick_edge_map(n, (mask,)), (orders,))
+                    mask: _validated_count(src.edges, (ep,), _pick_edge_map(n, (mask,)), (orders,))
                     for mask, orders in pool.items()
                 })
         extensions = list(enumerate(zip(alphabet, edge_pools, factors)))
@@ -751,15 +744,19 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
 
         def visit(edges, picks, lowest):
             nonlocal first, pairs_checked
-            k, tgt = index[edges]
-            if len(edges) != 1:
-                for _, masks, orders, product in picks:
-                    edge_map = _pick_edge_map(n, masks)
-                    whole = _validated_count(src, tgt, edge_map, orders)
-                    if whole != product:
-                        bad = (k, _base_map(edge_map), whole, product)
-                        first = bad if first is None else min(first, bad)
-            pairs_checked += src_weight * weight[edges]
+            target = index.get(edges)
+            # a target objects lacks is neither compared nor counted, but
+            # its extensions are still visited
+            if target is not None:
+                k, weight = target
+                if len(edges) != 1:
+                    for _, masks, orders, product in picks:
+                        edge_map = _pick_edge_map(n, masks)
+                        whole = _validated_count(src.edges, edges, edge_map, orders)
+                        if whole != product:
+                            bad = (k, _base_map(edge_map), whole, product)
+                            first = bad if first is None else min(first, bad)
+                pairs_checked += src_weight * weight
             if len(edges) < depth:
                 for r, (ep, pool, edge_factors) in extensions[lowest:]:
                     visit(edges + (ep,), _extend_picks(picks, pool, edge_factors), r if reduced else 0)
@@ -778,7 +775,7 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
 def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     """The Segal condition on morphisms, decided once per orbit of edge orders.
 
-    Permuting a source's or a target's edges carries validate_morphism's
+    Permuting a source's or a target's edges carries _validate_indices'
     accepted set onto itself, and so permutes the whole counts and the
     single-edge factors per base map without changing them. The reduced
     walk therefore reaches the verdict of the full one, and its multinomial

@@ -255,14 +255,9 @@ def cartesian_lift(
     position: dict[int, int] = {}
     for k, e in enumerate(order):
         position.setdefault(e, k)  # an edge listed twice keeps its first place
-    transported = _unchecked(
-        GraphMorphism,
-        source=phi.source,
-        target=phi.target,
-        edge_map=tuple(edge_map[position[e]] if e in position else None for e in range(len(src_edges))),
-        fibers=tuple(tuple(order[k] for k in fib) for fib in fibers),
-    )
-    if transported != phi:
+    transported_map = tuple(edge_map[position[e]] if e in position else None for e in range(len(src_edges)))
+    transported_fibers = tuple(tuple(order[k] for k in fib) for fib in fibers)
+    if transported_map != phi.edge_map or transported_fibers != phi.fibers:
         raise NotAPath("reconstructed morphism disagrees with the input")
     return source, lift
 

@@ -147,6 +147,7 @@ def test_criterion_2_strong_approximation():
             "1 labels; 1 single-edge graphs",
             "456 chain morphisms",
         ]
+        assert lifted == 387
         return f"{lifted} exact lift round-trips; {{a}} at max_dim 4: 1609 active morphisms lifted"
 
     _report(2, "strong approximation", 30, body)
@@ -195,6 +196,7 @@ def test_criterion_3_pairing():
                         assert classify_graph_morphism(out) in (MapClass.INERT, MapClass.BOTH)
                         assert validate_morphism(out).ok
                         inert_pairs += 1
+        assert (identities, inert_pairs) == (3468, 47524)
         return f"{identities} splice identities, {inert_pairs} inert pairs"
 
     _report(3, "pairing", 10, body)
@@ -209,6 +211,7 @@ def _count(report):
 def test_criterion_4_yoneda():
     def body():
         tuples = sum(_count(check_representability(c)) for c in FIXTURE_CATS)
+        assert tuples == 336
         return f"{tuples} biconditional instances, 0 exceptions"
 
     _report(4, "representability biconditional", 60, body)
@@ -217,6 +220,7 @@ def test_criterion_4_yoneda():
 def test_criterion_5_pointwise_limits():
     def body():
         families = sum(_count(check_pointwise_limits(c)) for c in FIXTURE_CATS)
+        assert families == 6196
         return f"{families} families (joins and meets)"
 
     _report(5, "pointwise (co)limits", 30, body)
@@ -225,6 +229,7 @@ def test_criterion_5_pointwise_limits():
 def test_criterion_6_density():
     def body():
         count = sum(_count(check_density(c)) for c in FIXTURE_CATS)
+        assert count == 48
         return f"{count} presheaves recovered from representables"
 
     _report(6, "density", 10, body)
@@ -268,6 +273,7 @@ def test_criterion_7_trivial_cases():
                             for g in ps:
                                 assert leq_presheaves(f, g) == module.le(ev(f, x), ev(g, x))
                     checked += 1
+        assert checked == 24
         return f"{checked} (object set, module) pairs; evaluation is an order isomorphism"
 
     _report(7, "trivial cases", 10, body)
@@ -336,6 +342,7 @@ def test_criterion_10_tensor_action():
             for x in c.objects.labels:
                 for a in range(q.size()):
                     assert tensor_action(rep(c, x), a) == free_presheaf(c, x, a)
+        assert checked == 168
         return f"{checked} (presheaf, scalar) pairs"
 
     _report(10, "tensor action laws", 10, body)

@@ -28,6 +28,7 @@ from oplab.graphs import (
     pairing_inert,
     pairing_labels,
     path_graph,
+    tag_labels,
 )
 from oplab.simplex import (
     DeltaOpMorphism,
@@ -185,18 +186,22 @@ def test_chain_constructions_as_public():
 
 @pytest.mark.parametrize("tag, names, max_edges", [(OperadTag.ASSOC, ("a",), 3), (OperadTag.LM, ("a", "b"), 1)])
 def test_validated_candidates_as_public(monkeypatch, tag, names, max_edges):
-    # the whole and single-edge candidates check_operad_axioms validates
-    validate = graphs.validate_morphism
+    # the whole and single-edge candidates and the inert lifts that
+    # check_operad_axioms validates, as index data: the public constructor
+    # takes each one and stores it as given
+    validate = graphs._validate_indices
     seen = []
 
-    def recording(m):
-        seen.append(m)
-        return validate(m)
+    def recording(*args):
+        seen.append(args)
+        return validate(*args)
 
-    monkeypatch.setattr(graphs, "validate_morphism", recording)
+    monkeypatch.setattr(graphs, "_validate_indices", recording)
     assert check_operad_axioms(tag, labelset(*names), max_edges).ok
-    for m in seen:
-        assert_as_public(m)
+    labels = tag_labels(tag, labelset(*names))
+    for src_edges, tgt_edges, edge_map, fibers in seen:
+        m = GraphMorphism(Graph(labels, src_edges), Graph(labels, tgt_edges), edge_map, fibers)
+        assert (m.source.edges, m.target.edges, m.edge_map, m.fibers) == (src_edges, tgt_edges, edge_map, fibers)
     assert seen
 
 

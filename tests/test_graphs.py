@@ -106,6 +106,16 @@ def test_every_graph_is_a_tensor_of_single_edges():
             assert iso_graphs(g, Graph(S, tuple(g.edges[i] for i in perm)))
 
 
+def test_iso_graphs_compares_edges_not_only_labels():
+    g = Graph(S, (("a", "b"), ("b", "a"), ("a", "b")))
+    assert iso_graphs(g, Graph(S, (("b", "a"), ("a", "b"), ("a", "b"))))
+    # equal label sets, different edge multisets
+    assert not iso_graphs(g, Graph(S, (("a", "b"), ("b", "a"), ("b", "a"))))
+    assert not iso_graphs(g, Graph(S, (("a", "b"), ("b", "a"))))
+    # equal edges, different label sets
+    assert not iso_graphs(Graph(S, (("a", "a"),)), Graph(labelset("a"), (("a", "a"),)))
+
+
 # --- morphism validation -------------------------------------------------
 
 
@@ -636,6 +646,8 @@ def test_enumerate_deterministic_and_bounded(monkeypatch):
     assert enumerate_graph_morphisms(src, tgt) == enumerate_graph_morphisms(src, tgt)
     # the bound is per graph, the one the suites put on their objects
     assert enumerate_graph_morphisms(Graph(S, (("a", "a"),) * 4), Graph(S, (("a", "a"),) * 3))
+    # five edges per graph are admitted; no path of (a,b) edges runs from b to a
+    assert enumerate_graph_morphisms(Graph(S, (("a", "b"),) * 5), Graph(S, (("b", "a"),) * 5)) == []
 
     def refuse(*args):
         raise AssertionError("candidate built past the bound")
@@ -670,6 +682,34 @@ def test_operad_axioms_small():
     assert rep.ok, rep.first_failure()
 
 
+def test_size_bounds_admit_their_limits():
+    # 1 + 9,999 objects of at most one edge is exactly OBJECT_BOUND
+    graphs._require_enumerable(9999, 1)
+    with pytest.raises(SizeBoundExceeded, match="^10001 objects of at most 1 edges exceeds bound 10000$"):
+        graphs._require_enumerable(10000, 1)
+    graphs._require_enumerable(2, graphs.OBJECT_EDGE_BOUND)
+    assert check_operad_axioms(OperadTag.ASSOC, S, 0).ok
+
+
+def test_missing_target_is_passed_through(monkeypatch):
+    # the segal walk reaches (b,b)(b,b), which objects lacks: it is neither
+    # compared nor counted, and segal-objects reports the short fiber
+    original = graphs.enumerate_objects
+    monkeypatch.setattr(graphs, "enumerate_objects", lambda *args: original(*args)[:-1])
+    assert check_operad_axioms(OperadTag.ASSOC, S, 2) == ValidationReport((
+        Check("inert-lifts", True, "20 objects"),
+        Check("segal-objects", False, "fiber over <2> has 15 objects"),
+        Check("segal-morphisms", True, "400 source/target pairs"),
+    ))
+
+
+def test_segal_objects_checks_the_top_fiber(monkeypatch):
+    original = graphs.enumerate_objects
+    monkeypatch.setattr(graphs, "enumerate_objects", lambda *args: [g for g in original(*args) if len(g.edges) < 3])
+    rep = check_operad_axioms(OperadTag.ASSOC, labelset("a"), 3)
+    assert rep.first_failure() == Check("segal-objects", False, "fiber over <3> has 0 objects")
+
+
 def test_modular_tags_constrain_objects():
     lm = enumerate_objects(OperadTag.LM, S, 1)
     assert all(is_left_modular(g) for g in lm)
@@ -687,18 +727,18 @@ def test_inert_lifts_reports_seeded_defect(monkeypatch):
 
 
 def _cross_fiber_defect(validate):
-    """validate_morphism that also rejects a contraction next to a nonempty fiber.
+    """_validate_indices that also rejects a contraction next to a nonempty fiber.
 
     It changes real morphism sets only at three or more source edges: a
     fiber of at least two edges whose neighbouring target edge (i-1 or i+1)
     has a nonempty fiber is rejected. Single-edge targets are unaffected.
     """
 
-    def defective(m):
-        rep = validate(m)
+    def defective(src_edges, tgt_edges, edge_map, fibers):
+        rep = validate(src_edges, tgt_edges, edge_map, fibers)
         if rep.ok:
-            for i, fib in enumerate(m.fibers):
-                near = [m.fibers[j] for j in (i - 1, i + 1) if 0 <= j < len(m.fibers)]
+            for i, fib in enumerate(fibers):
+                near = [fibers[j] for j in (i - 1, i + 1) if 0 <= j < len(fibers)]
                 if len(fib) >= 2 and any(near):
                     return failing("condition-two", f"seeded defect at target edge {i}")
         return rep
@@ -707,7 +747,7 @@ def _cross_fiber_defect(validate):
 
 
 def test_operad_reports_seeded_defect(monkeypatch):
-    monkeypatch.setattr(graphs, "validate_morphism", _cross_fiber_defect(graphs.validate_morphism))
+    monkeypatch.setattr(graphs, "_validate_indices", _cross_fiber_defect(graphs._validate_indices))
     rep = check_operad_axioms(OperadTag.ASSOC, labelset("a"), 3)
     assert rep.first_failure() == Check(
         "segal-morphisms",
@@ -718,18 +758,18 @@ def test_operad_reports_seeded_defect(monkeypatch):
 
 
 def _single_edge_defect(validate):
-    """validate_morphism that also rejects a contraction onto a single edge."""
+    """_validate_indices that also rejects a contraction onto a single edge."""
 
-    def defective(m):
-        if len(m.target.edges) == 1 and len(m.fibers[0]) >= 2:
+    def defective(src_edges, tgt_edges, edge_map, fibers):
+        if len(tgt_edges) == 1 and len(fibers[0]) >= 2:
             return failing("condition-two", "seeded defect on a single-edge target")
-        return validate(m)
+        return validate(src_edges, tgt_edges, edge_map, fibers)
 
     return defective
 
 
 def test_enumerator_raises_typed_error_on_rejected_candidate(monkeypatch):
-    monkeypatch.setattr(graphs, "validate_morphism", _cross_fiber_defect(graphs.validate_morphism))
+    monkeypatch.setattr(graphs, "_validate_indices", _cross_fiber_defect(graphs._validate_indices))
     src, tgt = Graph(S, (("a", "a"),) * 3), Graph(S, (("a", "a"),) * 2)
     with pytest.raises(InvalidCandidate, match=r"candidate \(0, 1, 1\) with fibers \(\(0,\), \(1, 2\)\)"):
         enumerate_graph_morphisms(src, tgt)
@@ -737,7 +777,7 @@ def test_enumerator_raises_typed_error_on_rejected_candidate(monkeypatch):
 
 def test_operad_reports_single_edge_defect(monkeypatch):
     # a defect only the single-edge factors see is a mismatch, not a crash
-    monkeypatch.setattr(graphs, "validate_morphism", _single_edge_defect(graphs.validate_morphism))
+    monkeypatch.setattr(graphs, "_validate_indices", _single_edge_defect(graphs._validate_indices))
     rep = check_operad_axioms(OperadTag.ASSOC, labelset("a"), 3)
     assert rep.first_failure() == Check(
         "segal-morphisms",
@@ -749,15 +789,15 @@ def test_operad_reports_single_edge_defect(monkeypatch):
 def test_segal_witness_is_first_failing_target_in_objects_order(monkeypatch):
     # the check walks targets depth-first, which reaches (a,a)(a,a)(a,a)
     # before (b,b)(b,b); objects order, and so the witness, has them reversed
-    validate = graphs.validate_morphism
+    validate = graphs._validate_indices
     broken = (("b", "b"),) * 2, (("a", "a"),) * 3
 
-    def defective(m):
-        if m.target.edges in broken:
+    def defective(src_edges, tgt_edges, edge_map, fibers):
+        if tgt_edges in broken:
             return failing("condition-two", "seeded defect at a broken target")
-        return validate(m)
+        return validate(src_edges, tgt_edges, edge_map, fibers)
 
-    monkeypatch.setattr(graphs, "validate_morphism", defective)
+    monkeypatch.setattr(graphs, "_validate_indices", defective)
     objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 3)
     assert graphs._check_segal_morphisms(objects, alphabet) == Check(
         "segal-morphisms", False, "() -> (('b', 'b'), ('b', 'b')) over (): 0 whole vs product 1"
@@ -770,14 +810,14 @@ def test_operad_validation_work(monkeypatch):
     # whole target; every inert lift of every visited source once. Only
     # sorted edge tuples are visited: {a} has one edge kind, so every
     # object, and {a,b} its orbit representatives
-    validate = graphs.validate_morphism
+    validate = graphs._validate_indices
     calls = []
 
-    def counting(m):
-        calls.append(m)
-        return validate(m)
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
 
-    monkeypatch.setattr(graphs, "validate_morphism", counting)
+    monkeypatch.setattr(graphs, "_validate_indices", counting)
     for names, want in ((("a",), 246), (("a", "b"), 3039)):
         calls.clear()
         assert check_operad_axioms(OperadTag.ASSOC, labelset(*names), 3).ok
@@ -944,10 +984,57 @@ def test_segal_search_matches_reference(monkeypatch):
             assert got.ok, (tag, names, got)
             assert got == _reference_check_segal_morphisms(objects, alphabet), (tag, names)
     # the reference never validates a whole morphism, so it misses the defect
-    monkeypatch.setattr(graphs, "validate_morphism", _cross_fiber_defect(graphs.validate_morphism))
+    monkeypatch.setattr(graphs, "_validate_indices", _cross_fiber_defect(graphs._validate_indices))
     objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a",), 3)
     assert _reference_check_segal_morphisms(objects, alphabet).ok
     assert not graphs._check_segal_morphisms(objects, alphabet).ok
+
+
+def _reference_validate_morphism(m):
+    """validate_morphism's body from before it delegated to
+    _validate_indices, kept to compare reports with."""
+    if m.source.labels is not m.target.labels and m.source.labels != m.target.labels:
+        return failing("label-sets", f"{m.source.labels} vs {m.target.labels}")
+    seen = set()
+    for i, fib in enumerate(m.fibers):
+        for e in fib:
+            if m.edge_map[e] != i:
+                return failing("fiber-partition", f"edge {e} listed under target {i} but mapped to {m.edge_map[e]}")
+            if e in seen:
+                return failing("fiber-partition", f"edge {e} listed twice")
+            seen.add(e)
+    for e, v in enumerate(m.edge_map):
+        if v is not None and e not in seen:
+            return failing("fiber-partition", f"edge {e} mapped to {v} but missing from its fiber")
+    for i, fib in enumerate(m.fibers):
+        s, t = m.target.edges[i]
+        if not fib:
+            if s != t:
+                return failing("condition-one", f"target edge {i} ({s},{t}) has empty fiber but is not a loop")
+        elif not graphs._chain_ok(m.source.edges, fib, s, t):
+            return failing("condition-two", f"fiber {fib} of target edge {i} is not a path ({s},{t})")
+    return passing("morphism")
+
+
+def test_validator_matches_reference_body():
+    # every candidate between the objects of each tag over {a,b} with <=2
+    # edges and of assoc over {a} with <=3; the singleton-fiber and
+    # malformed maps add partition and label-set failures
+    object_sets = [_segal_inputs(tag, ("a", "b"), 2)[0] for tag in OperadTag]
+    object_sets.append(_segal_inputs(OperadTag.ASSOC, ("a",), 3)[0])
+    ms = [
+        GraphMorphism(src, tgt, edge_map, fibers)
+        for objects in object_sets
+        for src, tgt in itertools.product(objects, repeat=2)
+        for edge_map, fibers in _all_candidates(len(src.edges), len(tgt.edges))
+    ]
+    ms += _singleton_fiber_morphisms(SP) + _malformed_inerts()
+    verdicts = Counter()
+    for m in ms:
+        want = _reference_validate_morphism(m)
+        assert validate_morphism(m) == want, m
+        verdicts[want.ok or want.first_failure().name] += 1
+    assert set(verdicts) == {True, "label-sets", "fiber-partition", "condition-one", "condition-two"}
 
 
 def test_enumerate_matches_reference():
@@ -1070,7 +1157,7 @@ def test_segal_counts_are_equivariant(tag, names, max_edges):
 def test_equivariance_sees_an_order_dependent_defect(monkeypatch):
     # the cross-fiber defect looks at neighbouring target edges, so it is not
     # carried along a permutation of the target's edges
-    monkeypatch.setattr(graphs, "validate_morphism", _cross_fiber_defect(graphs.validate_morphism))
+    monkeypatch.setattr(graphs, "_validate_indices", _cross_fiber_defect(graphs._validate_indices))
     found = _first_non_equivariant(*_segal_inputs(OperadTag.ASSOC, ("a",), 3))
     assert found is not None and found[0] == "accepted"
 
@@ -1079,7 +1166,7 @@ def test_equivariance_sees_an_order_dependent_defect(monkeypatch):
 def test_orbit_walk_matches_full_walk(monkeypatch, defect):
     # the shipped check gives the unreduced walk's Check, witness included
     if defect is not None:
-        monkeypatch.setattr(graphs, "validate_morphism", defect(graphs.validate_morphism))
+        monkeypatch.setattr(graphs, "_validate_indices", defect(graphs._validate_indices))
     for tag in OperadTag:
         for names, max_edges in ((("a",), 3), (("a", "b"), 2), (("a", "b"), 3)):
             objects, alphabet = _segal_inputs(tag, names, max_edges)

@@ -523,6 +523,16 @@ def test_search_tables_retests_whole_tables():
     assert search_tables(0, 3, []) == [()]
 
 
+def test_search_tables_bound_is_inclusive():
+    # exactly TABLE_BOUND candidate tables are admitted; a law at position 0
+    # that always fails abandons every partial table, so nothing is searched
+    assert 10**6 == TABLE_BOUND
+    never = Law("never", "no table", 0, lambda t: False)
+    assert search_tables(6, 10, [never]) == []
+    with pytest.raises(SizeBoundExceeded, match="^1048576 candidate tables exceed the bound 1000000$"):
+        search_tables(20, 2, [never])
+
+
 def test_modulemap_search_matches_reference():
     luk2 = lukasiewicz(2)
     targets = [right_self_module(BOOL)] + [boolean_downset_module(k, RIGHT) for k in (1, 2, 3)]

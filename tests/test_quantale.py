@@ -111,6 +111,34 @@ def test_invalid_tensor_rejected():
     assert not rep2.ok
 
 
+def _chain(k, tensor, unit):
+    names = tuple(str(i) for i in range(k))
+    return Quantale(names, tuple(tuple(a <= b for b in range(k)) for a in range(k)), tensor, unit)
+
+
+def test_one_sided_unit_rejected():
+    # a*b = b: 1 is a left unit but not a right one, since 0*1 = 1
+    assert validate_quantale(_chain(2, ((0, 1), (0, 1)), 1)).checks == (Check("unit", False, "0"),)
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        ((0, 0, 0), (0, 1, 2), (2, 2, 2)),  # a*0 = 0 fails at a = 2
+        ((0, 0, 2), (0, 1, 2), (0, 2, 2)),  # 0*a = 0 fails at a = 2
+    ],
+)
+def test_one_sided_bottom_absorption_rejected(tensor):
+    rep = validate_quantale(_chain(3, tensor, 1))
+    assert rep.checks == (Check("distributivity", False, "bottom not absorbed at 2"),)
+
+
+def test_lukasiewicz_needs_one_step():
+    assert validate_quantale(lukasiewicz(1)).ok
+    with pytest.raises(IndexOutOfRange, match="chain length must be at least 1"):
+        lukasiewicz(0)
+
+
 def test_non_lattice_rejected():
     # two incomparable points, no top or bottom
     q = Quantale(("x", "y"), ((True, False), (False, True)), ((0, 0), (0, 1)), 1)

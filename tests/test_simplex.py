@@ -404,19 +404,19 @@ def test_approximation_reports_seeded_defect(monkeypatch, defect):
     assert Check("cartesian-universal", False, witness) in rep.checks
 
 
-def _reject_contraction_next_to_a_fiber(m):
+def _reject_contraction_next_to_a_fiber(tgt_edges, fibers):
     # rejects a morphism the enumerator offers only with three or more
     # source edges, so cartesian-universal's hom-sets meet it first
-    for i, fib in enumerate(m.fibers):
-        if len(fib) >= 2 and any(m.fibers[j] for j in (i - 1, i + 1) if 0 <= j < len(m.fibers)):
+    for i, fib in enumerate(fibers):
+        if len(fib) >= 2 and any(fibers[j] for j in (i - 1, i + 1) if 0 <= j < len(fibers)):
             return True
     return False
 
 
-def _reject_contraction_onto_one_edge(m):
+def _reject_contraction_onto_one_edge(tgt_edges, fibers):
     # rejects a morphism into a one-edge path image, so cartesian-lifts'
     # actives meet it first
-    return len(m.target.edges) == 1 and len(m.fibers[0]) >= 2
+    return len(tgt_edges) == 1 and len(fibers[0]) >= 2
 
 
 @pytest.mark.parametrize(
@@ -446,12 +446,14 @@ def _reject_contraction_onto_one_edge(m):
 def test_approximation_reports_rejected_candidate(monkeypatch, rejects, check):
     # a validator that rejects what the enumerator builds fails the sub-check
     # that enumerated it, with the rejected candidate as witness
-    validate = graphs.validate_morphism
+    validate = graphs._validate_indices
 
-    def defective(m):
-        return failing("condition-two", "seeded defect") if rejects(m) else validate(m)
+    def defective(src_edges, tgt_edges, edge_map, fibers):
+        if rejects(tgt_edges, fibers):
+            return failing("condition-two", "seeded defect")
+        return validate(src_edges, tgt_edges, edge_map, fibers)
 
-    monkeypatch.setattr(graphs, "validate_morphism", defective)
+    monkeypatch.setattr(graphs, "_validate_indices", defective)
     assert check_approximation(labelset("a"), 3).first_failure() == check
 
 

@@ -154,6 +154,49 @@ def test_every_typed_error_has_a_raiser():
     assert errors and sorted(errors - raised) == []
 
 
+def _returners(source, names):
+    """Per name, the functions with a `return f("<name>", ...)`, each named
+    by its innermost enclosing def."""
+    found = {name: set() for name in names}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Return) and isinstance(child.value, ast.Call) and child.value.args:
+                first = child.value.args[0]
+                if isinstance(first, ast.Constant) and first.value in found:
+                    found[first.value].add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_returners_check_sees_each_form():
+    source = (
+        'def a():\n    return failing("x", "w")\n'
+        'def b():\n    def inner():\n        return Check("x", False)\n    return passing("y")\n'
+        'def c():\n    name = "x"\n    return failing(name)\n'
+        'def d():\n    return "x"\n'
+    )
+    assert _returners(source, ("x", "y")) == {"x": {"a", "inner"}, "y": {"b"}}
+
+
+def test_morphism_validity_is_stated_once():
+    # the fiber-partition and path conditions of a graph morphism come from
+    # one function, which validate_morphism and the enumeration walks share
+    names = ("fiber-partition", "condition-one", "condition-two")
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = {name: set() for name in names}
+    for path in files:
+        for name, funcs in _returners(path.read_text(), names).items():
+            found[name] |= {f"{path.name}:{func}" for func in funcs}
+    assert found == {name: {"graphs.py:_validate_indices"} for name in names}
+
+
 def test_benchmark_measured_names_exist():
     # the lookups perfbench/tracer.py makes before a traced run, without wrapping
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
