@@ -18,7 +18,7 @@ from .errors import (
 )
 from .graphs import Graph, GraphMorphism, LabelSet
 from .quantale import Quantale, reverse_quantale
-from .report import Law, ValidationReport, check_laws, failing, passing, search_tables
+from .report import Law, ValidationReport, check_laws, failing, passing, read_once, search_tables
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,15 @@ class EnrichedCategory:
             for v in row:
                 if not 0 <= v < self.base.size():
                     raise IndexOutOfRange(f"hom entry {v} out of range")
+
+    @read_once
+    def _opposite(self) -> EnrichedCategory:
+        return EnrichedCategory(reverse_quantale(self.base), self.objects, tuple(zip(*self.hom)))
+
+    @read_once
+    def _presheaf_laws(self) -> dict:
+        """`presheaf.presheaf_laws` per module, filled by that function."""
+        return {}
 
     def obj_index(self, name: str) -> int:
         try:
@@ -82,13 +91,9 @@ def validate_category(c: EnrichedCategory) -> ValidationReport:
 
 
 def opposite(c: EnrichedCategory) -> EnrichedCategory:
-    """Transpose the hom table; the result lives over the reversed base."""
-    k = len(c.objects.labels)
-    return EnrichedCategory(
-        reverse_quantale(c.base),
-        c.objects,
-        tuple(tuple(c.hom[j][i] for j in range(k)) for i in range(k)),
-    )
+    """Transpose the hom table; the result lives over the reversed base.
+    Built once per category."""
+    return c._opposite
 
 
 def trivial_category(base: Quantale, objects: LabelSet) -> EnrichedCategory:

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .enriched import EnrichedCategory, EnrichedFunctor, is_enriched_functor, opposite
-from .errors import BaseMismatch, SizeBoundExceeded, UnknownObject, ValidationError
+from .errors import BaseMismatch, IndexOutOfRange, SizeBoundExceeded, UnknownObject, ValidationError
 from .quantale import (
     LEFT,
     RIGHT,
@@ -66,11 +66,15 @@ class Copresheaf(_ValueTable):
 
 def presheaf_laws(c: EnrichedCategory, m: ModuleLattice) -> tuple[Law, ...]:
     """The action law hom(X,Y).F(Y) <= F(X) at every pair of objects, in
-    validation order, over the table of values F(X) in object order."""
+    validation order, over the table of values F(X) in object order; built
+    once per category and module."""
+    cached = c._presheaf_laws.get(m)
+    if cached is not None:
+        return cached
     names = c.objects.labels
     k = len(names)
     le, act = m.le, m.act
-    return tuple(
+    c._presheaf_laws[m] = laws = tuple(
         Law(
             "presheaf-action",
             f"hom({names[i]},{names[j]}).F({names[j]}) > F({names[i]})",
@@ -80,6 +84,7 @@ def presheaf_laws(c: EnrichedCategory, m: ModuleLattice) -> tuple[Law, ...]:
         for i in range(k)
         for j in range(k)
     )
+    return laws
 
 
 def validate_presheaf(f: Presheaf) -> ValidationReport:
@@ -122,6 +127,8 @@ def free_presheaf(
     module = module if module is not None else left_self_module(c.base)
     if module.base != c.base:
         raise BaseMismatch("module lives over a different quantale")
+    if not 0 <= m_elt < module.size():
+        raise IndexOutOfRange(f"module element {m_elt} out of range")
     i = c.obj_index(x)
     return Presheaf(c, module, tuple(module.act(row[i], m_elt) for row in c.hom))
 
@@ -151,6 +158,8 @@ def tensor_action(f: Presheaf, a: int) -> Presheaf:
     if not f.is_self:
         raise BaseMismatch("the right action lives on self-valued presheaves")
     q = f.category.base
+    if not 0 <= a < q.size():
+        raise IndexOutOfRange(f"scalar {a} out of range")
     return Presheaf(f.category, f.module, tuple(q.mul(v, a) for v in f.values))
 
 

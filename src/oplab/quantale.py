@@ -66,6 +66,18 @@ class Quantale(_Ordered):
         if not 0 <= self.unit < k:
             raise IndexOutOfRange("unit out of range")
 
+    @read_once
+    def _reversed(self) -> Quantale:
+        return Quantale(self.elements, self.leq, tuple(zip(*self.tensor)), self.unit)
+
+    @read_once
+    def _left_self(self) -> ModuleLattice:
+        return ModuleLattice(self, LEFT, self.elements, self.leq, self.tensor)
+
+    @read_once
+    def _right_self(self) -> ModuleLattice:
+        return ModuleLattice(self, RIGHT, self.elements, self.leq, self.tensor)
+
     def mul(self, a: int, b: int) -> int:
         return self.tensor[a][b]
 
@@ -217,14 +229,8 @@ def residual_left(q: Quantale, a: int, b: int) -> int:
 
 
 def reverse_quantale(q: Quantale) -> Quantale:
-    """Same lattice, tensor arguments swapped."""
-    k = q.size()
-    return Quantale(
-        q.elements,
-        q.leq,
-        tuple(tuple(q.tensor[b][a] for b in range(k)) for a in range(k)),
-        q.unit,
-    )
+    """Same lattice, tensor arguments swapped; built once per quantale."""
+    return q._reversed
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +303,12 @@ class ModuleLattice(_Ordered):
         """Left action a.x, or right action x.a when side is right."""
         return self.action[a][x] if self.side == LEFT else self.action[x][a]
 
+    @read_once
+    def _transposed(self) -> ModuleLattice:
+        flipped = RIGHT if self.side == LEFT else LEFT
+        action = tuple(zip(*self.action))
+        return ModuleLattice(reverse_quantale(self.base), flipped, self.elements, self.leq, action)
+
 
 def module_join(m: ModuleLattice, xs) -> int:
     return _fold(m, xs, _JOINS, "module join does not exist")
@@ -356,30 +368,24 @@ def validate_module(m: ModuleLattice) -> ValidationReport:
 
 
 def left_self_module(q: Quantale) -> ModuleLattice:
-    """The quantale acting on itself on the left by its tensor."""
-    return ModuleLattice(q, LEFT, q.elements, q.leq, q.tensor)
+    """The quantale acting on itself on the left by its tensor; built once
+    per quantale."""
+    return q._left_self
 
 
 def right_self_module(q: Quantale) -> ModuleLattice:
-    return ModuleLattice(q, RIGHT, q.elements, q.leq, q.tensor)
+    """The quantale acting on itself on the right; built once per quantale."""
+    return q._right_self
 
 
 def transpose_module(m: ModuleLattice) -> ModuleLattice:
-    """A left module over q as a right module over the reverse, and back.
+    """A left module over q as a right module over the reverse, and back;
+    built once per module.
 
     The action table is transposed in the sense that the scalar moves to
     the other side; the carrier lattice is unchanged.
     """
-    flipped = RIGHT if m.side == LEFT else LEFT
-    if m.side == LEFT:
-        action = tuple(
-            tuple(m.action[a][x] for a in range(m.base.size())) for x in range(m.size())
-        )
-    else:
-        action = tuple(
-            tuple(m.action[x][a] for x in range(m.size())) for a in range(m.base.size())
-        )
-    return ModuleLattice(reverse_quantale(m.base), flipped, m.elements, m.leq, action)
+    return m._transposed
 
 
 def one_element_module(q: Quantale, side: str = LEFT) -> ModuleLattice:

@@ -1,7 +1,9 @@
 """Validation at the boundary only.
 
 The public constructors of GraphMorphism and DeltaOpMorphism check every
-index range (and, for chains, monotonicity and labels). The morphisms and
+index range (and, for chains, monotonicity and labels), and those of the
+value tables (quantales, modules, categories, label sets, presheaves)
+check every name, shape, range and home. The morphisms and
 graphs that oplab builds internally from valid ones skip those checks; each
 such site is tested here against the public constructor: rebuilt from its
 fields, the object must construct, and equal, hash and print the same.
@@ -11,7 +13,8 @@ import itertools
 import pytest
 
 from oplab import graphs, simplex
-from oplab.errors import IndexOutOfRange, NotInert, ValidationError
+from oplab.enriched import EnrichedCategory
+from oplab.errors import BaseMismatch, IndexOutOfRange, InvalidLabels, NotInert, UnknownObject, ValidationError
 from oplab.graphs import (
     Graph,
     GraphMorphism,
@@ -29,6 +32,18 @@ from oplab.graphs import (
     pairing_labels,
     path_graph,
     tag_labels,
+)
+from oplab.presheaf import Copresheaf, Presheaf
+from oplab.quantale import (
+    LEFT,
+    RIGHT,
+    ModuleLattice,
+    Quantale,
+    boolean_quantale,
+    chain_lattice,
+    left_self_module,
+    lukasiewicz,
+    right_self_module,
 )
 from oplab.simplex import (
     DeltaOpMorphism,
@@ -86,6 +101,75 @@ def test_delta_morphism_constructor_checks_map(source, target, underlying, messa
     x, y = LabeledSimplex(S, source), LabeledSimplex(S, target)
     with pytest.raises(ValidationError, match=f"^{message}$"):
         DeltaOpMorphism(x, y, underlying)
+
+
+# Each side of every `or` and every bound of a range check in the value-table
+# constructors raises on its own, with the rest of the input well formed.
+_BOOL = boolean_quantale()
+_LEQ2 = ((True, True), (False, True))
+_NAMES = "element names must be distinct and nonempty"
+_ACTION_SHAPE = "action table has the wrong shape"
+_BOOL_TENSOR = ((0, 0), (0, 1))
+_LEFT_VALUES = "presheaves take values in a left module"
+_RIGHT_VALUES = "copresheaves take values in a right module"
+_ELSEWHERE = "module and category live over different quantales"
+
+
+def _quantale(elements=("0", "1"), leq=_LEQ2, tensor=_BOOL_TENSOR, unit=1):
+    return Quantale(elements, leq, tensor, unit)
+
+
+def _module(side=LEFT, elements=("m0", "m1", "m2"), action=None):
+    names, leq = chain_lattice(3)
+    if action is None:
+        action = ((0, 0, 0), (0, 1, 2)) if side == LEFT else ((0, 0), (0, 1), (0, 2))
+    return ModuleLattice(_BOOL, side, elements, leq, action)
+
+
+def _category(objects=labelset("x", "y"), hom=((1, 1), (0, 1))):
+    return EnrichedCategory(_BOOL, objects, hom)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: _quantale(elements=("0", "0")), InvalidLabels, _NAMES),
+        (lambda: _quantale(elements=(), leq=(), tensor=(), unit=0), InvalidLabels, _NAMES),
+        (lambda: _quantale(leq=_LEQ2[:1]), IndexOutOfRange, "order table has the wrong shape"),
+        (lambda: _quantale(leq=(_LEQ2[0], (False,))), IndexOutOfRange, "order table has the wrong shape"),
+        (lambda: _quantale(tensor=_BOOL_TENSOR[:1]), IndexOutOfRange, "tensor table has the wrong shape"),
+        (lambda: _quantale(tensor=((0, 0), (0,))), IndexOutOfRange, "tensor table has the wrong shape"),
+        (lambda: _quantale(tensor=((0, -1), (0, 1))), IndexOutOfRange, "tensor entry -1 out of range"),
+        (lambda: _quantale(tensor=((0, 2), (0, 1))), IndexOutOfRange, "tensor entry 2 out of range"),
+        (lambda: _quantale(unit=-1), IndexOutOfRange, "unit out of range"),
+        (lambda: _quantale(unit=2), IndexOutOfRange, "unit out of range"),
+        (lambda: _module(side="middle"), InvalidLabels, "side must be 'left' or 'right'"),
+        (lambda: _module(elements=("m0", "m0", "m2")), InvalidLabels, f"module {_NAMES}"),
+        (lambda: ModuleLattice(_BOOL, LEFT, (), (), ((), ())), InvalidLabels, f"module {_NAMES}"),
+        (lambda: _module(action=((0, 1, 2),)), IndexOutOfRange, _ACTION_SHAPE),
+        (lambda: _module(action=((0, 0, 0), (0, 1))), IndexOutOfRange, _ACTION_SHAPE),
+        # a right module takes one row per element: the left module's shape is refused
+        (lambda: _module(side=RIGHT, action=((0, 0, 0), (0, 1, 2))), IndexOutOfRange, _ACTION_SHAPE),
+        (lambda: _module(side=RIGHT, action=((0, 0), (0, 1), (0,))), IndexOutOfRange, _ACTION_SHAPE),
+        (lambda: _module(action=((0, 0, -1), (0, 1, 2))), IndexOutOfRange, "action entry -1 out of range"),
+        (lambda: _module(action=((0, 0, 0), (0, 1, 3))), IndexOutOfRange, "action entry 3 out of range"),
+        (lambda: _category(objects=labelset("x", "y", pointed=True)), InvalidLabels, "object sets are unpointed"),
+        (lambda: _category(hom=((1, 1),)), IndexOutOfRange, "hom table has the wrong shape"),
+        (lambda: _category(hom=((1, 1), (0,))), IndexOutOfRange, "hom table has the wrong shape"),
+        (lambda: _category(hom=((1, -1), (0, 1))), IndexOutOfRange, "hom entry -1 out of range"),
+        (lambda: _category(hom=((1, 2), (0, 1))), IndexOutOfRange, "hom entry 2 out of range"),
+        (lambda: labelset("a", "a"), InvalidLabels, r"duplicate labels in \('a', 'a'\)"),
+        (lambda: labelset("a", ""), InvalidLabels, "label '' must be a non-empty string"),
+        (lambda: labelset("a", 1), InvalidLabels, "label 1 must be a non-empty string"),
+        (lambda: Presheaf(_category(), right_self_module(_BOOL), (0, 0)), BaseMismatch, _LEFT_VALUES),
+        (lambda: Copresheaf(_category(), left_self_module(_BOOL), (0, 0)), BaseMismatch, _RIGHT_VALUES),
+        (lambda: Presheaf(_category(), left_self_module(lukasiewicz(2)), (0, 0)), BaseMismatch, _ELSEWHERE),
+        (lambda: Presheaf(_category(), left_self_module(_BOOL), (0,)), UnknownObject, "one value per object required"),
+    ],
+)
+def test_value_table_constructor_checks_one_side(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 # ---------------------------------------------------------------------------

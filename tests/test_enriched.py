@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -25,14 +26,28 @@ from oplab.graphs import (
     path_graph,
     reverse_graph,
 )
+from oplab.io import load_category, load_module, load_quantale
 from oplab.quantale import (
+    LEFT,
+    RIGHT,
+    ModuleLattice,
+    Quantale,
+    boolean_downset_module,
     boolean_quantale,
+    diamond_lattice,
+    left_self_module,
     lukasiewicz,
+    module_over_trivial,
     noncommutative_chain4,
+    one_element_module,
+    reverse_quantale,
+    right_self_module,
+    transpose_module,
     trivial_quantale,
 )
 from oplab.simplex import cut_morphism, enumerate_delta_morphisms, enumerate_simplices
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 S = labelset("x", "y")
 BOOL = boolean_quantale()
 LUK3 = lukasiewicz(3)
@@ -87,6 +102,73 @@ def test_opposite_involution_and_validity():
         assert validate_category(o).ok
         assert opposite(o) == c
     assert opposite(PREORDER).hom == ((1, 0), (1, 1))
+
+
+# Today's reversal, self modules, transposes and opposites, rebuilt on every
+# call: each memoized function must return what these return.
+
+
+def _reference_reverse_quantale(q):
+    k = q.size()
+    return Quantale(q.elements, q.leq, tuple(tuple(q.tensor[b][a] for b in range(k)) for a in range(k)), q.unit)
+
+
+def _reference_left_self_module(q):
+    return ModuleLattice(q, LEFT, q.elements, q.leq, q.tensor)
+
+
+def _reference_right_self_module(q):
+    return ModuleLattice(q, RIGHT, q.elements, q.leq, q.tensor)
+
+
+def _reference_transpose_module(m):
+    flipped = RIGHT if m.side == LEFT else LEFT
+    if m.side == LEFT:
+        action = tuple(tuple(m.action[a][x] for a in range(m.base.size())) for x in range(m.size()))
+    else:
+        action = tuple(tuple(m.action[x][a] for x in range(m.size())) for a in range(m.base.size()))
+    return ModuleLattice(_reference_reverse_quantale(m.base), flipped, m.elements, m.leq, action)
+
+
+def _reference_opposite(c):
+    k = len(c.objects.labels)
+    return EnrichedCategory(
+        _reference_reverse_quantale(c.base),
+        c.objects,
+        tuple(tuple(c.hom[j][i] for j in range(k)) for i in range(k)),
+    )
+
+
+def _assert_memo_matches(fn, reference, x):
+    out = fn(x)
+    assert out == reference(x) and fn(x) is out
+    return out
+
+
+def test_derived_structures_match_reference_and_are_built_once():
+    quantales = [boolean_quantale(), lukasiewicz(1), lukasiewicz(2), lukasiewicz(3)]
+    quantales += [trivial_quantale(), noncommutative_chain4()]
+    quantales += [load_quantale(FIXTURES / "boolean.json"), load_quantale(FIXTURES / "lukasiewicz3.json")]
+    modules = [load_module(FIXTURES / "chain3_left_module.json")]
+    categories = [load_category(FIXTURES / name) for name in ("codiscrete.json", "preorder.json")]
+    for side in (LEFT, RIGHT):
+        modules += [boolean_downset_module(3, side), module_over_trivial(*diamond_lattice(), side)]
+    for q in quantales:
+        r = _assert_memo_matches(reverse_quantale, _reference_reverse_quantale, q)
+        assert reverse_quantale(r) == q
+        modules.append(_assert_memo_matches(left_self_module, _reference_left_self_module, q))
+        modules.append(_assert_memo_matches(right_self_module, _reference_right_self_module, q))
+        modules += [one_element_module(q, LEFT), one_element_module(q, RIGHT)]
+        categories += [trivial_category(q, S), *enumerate_categories(q, S)]
+    for m in modules:
+        t = _assert_memo_matches(transpose_module, _reference_transpose_module, m)
+        assert t.base is reverse_quantale(m.base)
+        assert _assert_memo_matches(transpose_module, _reference_transpose_module, t) == m
+    for c in categories:
+        o = _assert_memo_matches(opposite, _reference_opposite, c)
+        assert o.base is reverse_quantale(c.base)
+        assert _assert_memo_matches(opposite, _reference_opposite, o) == c
+    assert (len(quantales), len(modules), len(categories)) == (8, 37, 80)
 
 
 def test_trivial_category():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -11,7 +12,7 @@ from oplab.enriched import (
     trivial_category,
     validate_category,
 )
-from oplab.errors import BaseMismatch, SizeBoundExceeded, ValidationError
+from oplab.errors import BaseMismatch, IndexOutOfRange, SizeBoundExceeded, ValidationError
 from oplab.graphs import labelset
 from oplab.presheaf import (
     Copresheaf,
@@ -47,6 +48,8 @@ from oplab.presheaf import (
 )
 from oplab.quantale import (
     RIGHT,
+    ModuleLattice,
+    Quantale,
     boolean_downset_module,
     boolean_quantale,
     chain_lattice,
@@ -188,6 +191,30 @@ def test_tensor_action_laws():
                 assert tensor_action(rep(c, x), a) == free_presheaf(c, x, a)
 
 
+def test_scalars_and_elements_outside_range_refused():
+    f = rep(METRIC, "x")
+    assert f.values == (3, 2)
+    assert tensor_action(f, 0).values == (0, 0) and tensor_action(f, 3) == f
+    assert free_presheaf(METRIC, "x", 0).values == (0, 0)
+    assert free_presheaf(METRIC, "x", 3) == f
+    module = boolean_downset_module(3)
+    assert free_presheaf(PREORDER, "y", 2, module).values == (2, 2)
+    g = Presheaf(PREORDER, module, (2, 2))
+    assert yoneda_check(PREORDER, "y", 2, g) == (True, True)
+    for bad in (-1, 4):
+        with pytest.raises(IndexOutOfRange, match=f"^scalar {bad} out of range$"):
+            tensor_action(f, bad)
+        with pytest.raises(IndexOutOfRange, match=f"^module element {bad} out of range$"):
+            free_presheaf(METRIC, "x", bad)
+        with pytest.raises(IndexOutOfRange, match=f"^module element {bad} out of range$"):
+            yoneda_check(METRIC, "x", bad, f)
+    for bad in (-1, 3):
+        with pytest.raises(IndexOutOfRange, match=f"^module element {bad} out of range$"):
+            free_presheaf(PREORDER, "y", bad, module)
+        with pytest.raises(IndexOutOfRange, match=f"^module element {bad} out of range$"):
+            yoneda_check(PREORDER, "y", bad, g)
+
+
 def test_join_meet_presheaves():
     module = left_self_module(BOOL)
     ps = enumerate_presheaves(PREORDER)
@@ -208,9 +235,20 @@ def test_join_meet_presheaves_compare_homes_by_value():
     assert join_presheaves([f, g]).values == (1, 1)
     assert meet_presheaves([f, g]).values == (1, 0)
     other = Presheaf(CODISCRETE, f.module, (1, 1))
+    # the same category object, another module
+    elsewhere = Presheaf(PREORDER, boolean_downset_module(3), (2, 0))
     for combine in (join_presheaves, meet_presheaves):
+        for h in (other, elsewhere):
+            with pytest.raises(BaseMismatch):
+                combine([f, h])
+        # an empty family needs both its category and its module
         with pytest.raises(BaseMismatch):
-            combine([f, other])
+            combine([], PREORDER)
+        with pytest.raises(BaseMismatch):
+            combine([], module=f.module)
+    for h in (other, elsewhere):
+        with pytest.raises(BaseMismatch):
+            leq_presheaves(f, h)
 
 
 def test_leq_presheaves():
@@ -333,6 +371,43 @@ def test_duality_bijection_boolean_and_lukasiewicz():
     c2 = EnrichedCategory(luk2, S, ((2, 1), (0, 2)))
     rep_ = check_duality_bijection(c2, right_self_module(luk2))
     assert rep_.ok, rep_.first_failure()
+
+
+def test_duality_builds_each_derived_structure_once(monkeypatch):
+    # a fresh quantale, so nothing is derived from it yet
+    q = boolean_quantale()
+    c = _discrete(q, 4)
+    n = right_self_module(q)
+    built = collections.Counter()
+    for cls in (Quantale, ModuleLattice, EnrichedCategory):
+
+        def counting(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    build = presheaf.presheaf_laws
+    calls = []
+
+    def recording(category, module):
+        calls.append((category, module, build(category, module)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(presheaf, "presheaf_laws", recording)
+    report = check_duality_bijection(c, n)
+    assert [check.witness for check in report.checks] == [
+        "16 copresheaves vs 16 module maps",
+        "16 round trips",
+        "16 round trips",
+    ]
+    # the reversed base, the opposite category, the left self module, the
+    # lattice's module and the transpose of n; 66, 33 and 72 when rebuilt
+    assert built == {"Quantale": 1, "EnrichedCategory": 1, "ModuleLattice": 3}
+    # the records keep every category and module alive, so ids are not reused
+    laws = {}
+    for category, module, out in calls:
+        assert laws.setdefault((id(category), id(module)), out) is out
+    assert len(laws) == 2 and len(calls) > len(laws)
 
 
 def test_duality_respects_counts():
@@ -665,6 +740,24 @@ def test_pushforward_reports_seeded_defect(monkeypatch):
     assert check_pushforward(EnrichedFunctor(PREORDER, CODISCRETE)).checks == (
         Check("pushforward", False, "adjunction fails at (1, 0), (0, 0)"),
     )
+
+
+def test_pointwise_limits_family_bound_is_inclusive(monkeypatch):
+    luk2 = lukasiewicz(2)
+    xyz = labelset("x", "y", "z")
+    at_bound = EnrichedCategory(luk2, xyz, ((2, 0, 0), (1, 2, 0), (2, 1, 2)))
+    past_bound = EnrichedCategory(luk2, xyz, ((2, 0, 0), (0, 2, 0), (1, 2, 2)))
+    assert validate_category(at_bound).ok and validate_category(past_bound).ok
+    assert len(enumerate_presheaves(at_bound)) == 16
+    assert len(enumerate_presheaves(past_bound)) == 17
+    assert check_pointwise_limits(at_bound).checks == (
+        Check("pointwise-limits", True, "65536 families"),
+    )
+    joined = []
+    monkeypatch.setattr(presheaf, "join_presheaves", lambda *args: joined.append(args))
+    with pytest.raises(SizeBoundExceeded, match="^131072 families exceed the family bound$"):
+        check_pointwise_limits(past_bound)
+    assert joined == []
 
 
 def test_suite_refusals_still_raise():
