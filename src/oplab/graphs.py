@@ -468,61 +468,49 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
 # Enumeration.
 
 
-def _chain_pool(src_edges, s: str, t: str, pools: dict) -> dict[int, list[tuple[int, ...]]]:
+def _chain_pool(src_edges, s: str, t: str) -> dict[int, list[tuple[int, ...]]]:
     """The orders of each subset of source edges that form a path from s to t.
 
     Keys are bitmasks of source edges; each value lists, in lexicographic
     order, the orders of that subset that _chain_ok accepts. Subsets without
-    such an order are absent. Memoized in the caller's dict by (source edges,
-    endpoints).
+    such an order are absent.
     """
-    key = (src_edges, s, t)
-    pool = pools.get(key)
-    if pool is None:
-        n = len(src_edges)
-        pool = {}
-        for mask in range(1 << n):
-            fiber = tuple(e for e in range(n) if mask >> e & 1)
-            orders = [o for o in itertools.permutations(fiber) if _chain_ok(src_edges, o, s, t)]
-            if orders:
-                pool[mask] = orders
-        pools[key] = pool
+    n = len(src_edges)
+    pool = {}
+    for mask in range(1 << n):
+        fiber = tuple(e for e in range(n) if mask >> e & 1)
+        orders = [o for o in itertools.permutations(fiber) if _chain_ok(src_edges, o, s, t)]
+        if orders:
+            pool[mask] = orders
     return pool
-
-
-_ROOT_PICK = (0, (), (), 1)
 
 
 def _extend_picks(picks, pool: dict, factors: dict | None = None) -> list:
     """Extend each partial pick by one target edge.
 
-    A pick is (used, masks, orders, product): the union of its masks, the
-    mask of source edges picked for each target edge so far, the path
-    orders of each picked mask, and the product of the factors at the
-    picked masks. Each pick is extended by every mask of the edge's chain
-    pool disjoint from its used mask, in pool order; the product gains
+    A pick is (used, edge_map, orders, product): the mask of source edges
+    picked so far, the target edge each source edge goes to (None while
+    unpicked), the path orders of each picked mask, and the product of the
+    factors at the picked masks. Each pick is extended by every mask of the
+    edge's chain pool disjoint from its used mask, in pool order, and sends
+    that mask's edges to the new target edge; the product gains
     factors[mask] when factors is given.
     """
     out = []
-    for used, masks, orders, product in picks:
+    for used, edge_map, orders, product in picks:
+        target = len(orders)
         for mask, mask_orders in pool.items():
             if not mask & used:
+                images = list(edge_map)
+                # any path order of a mask lists exactly its edges
+                for e in mask_orders[0]:
+                    images[e] = target
                 factor = 1 if factors is None else factors[mask]
-                out.append((used | mask, masks + (mask,), orders + (mask_orders,), product * factor))
+                out.append((used | mask, tuple(images), orders + (mask_orders,), product * factor))
     return out
 
 
-def _pick_edge_map(n: int, masks) -> tuple[int | None, ...]:
-    """Send each of the n source edges to the target edge whose mask holds it."""
-    images: list[int | None] = [None] * n
-    for i, mask in enumerate(masks):
-        for e in range(n):
-            if mask >> e & 1:
-                images[e] = i
-    return tuple(images)
-
-
-def _morphism_candidates(src_edges, tgt_edges, pools: dict):
+def _morphism_candidates(src_edges, tgt_edges):
     """Yield every (edge_map, fibers) whose fibers are disjoint paths.
 
     Each target edge picks a mask of source edges from its chain pool, the
@@ -531,11 +519,11 @@ def _morphism_candidates(src_edges, tgt_edges, pools: dict):
     are exactly the morphisms whose every fiber passes _chain_ok; callers
     validate them whole.
     """
-    picks = [_ROOT_PICK]
-    for s, t in tgt_edges:
-        picks = _extend_picks(picks, _chain_pool(src_edges, s, t, pools))
-    for _, masks, orders, _ in picks:
-        edge_map = _pick_edge_map(len(src_edges), masks)
+    pools = {edge: _chain_pool(src_edges, *edge) for edge in set(tgt_edges)}
+    picks = [(0, (None,) * len(src_edges), (), 1)]
+    for edge in tgt_edges:
+        picks = _extend_picks(picks, pools[edge])
+    for _, edge_map, orders, _ in picks:
         for fibers in itertools.product(*orders):
             yield edge_map, fibers
 
@@ -554,7 +542,7 @@ def enumerate_graph_morphisms(src: Graph, tgt: Graph) -> list[GraphMorphism]:
     if src.labels != tgt.labels:
         raise LabelSetMismatch(f"{src.labels} vs {tgt.labels}")
     out = []
-    for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, {}):
+    for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges):
         rep = _validate_indices(src.edges, tgt.edges, edge_map, fibers)
         if not rep.ok:
             failure = rep.first_failure()
@@ -726,18 +714,17 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     # position in objects and pair weight of each target, by its edge tuple
     index = {g.edges: (k, _orderings(g.edges) if reduced else 1) for k, g in enumerate(objects)}
     depth = max(map(len, index))
-    pools: dict = {}
     pairs_checked = 0
     for src in _orbit_sources(objects, alphabet, reduced):
-        n = len(src.edges)
+        root = (0, (None,) * len(src.edges), (), 1)
         src_weight = index[src.edges][1]
-        edge_pools = [_chain_pool(src.edges, s, t, pools) for s, t in alphabet]
+        edge_pools = [_chain_pool(src.edges, s, t) for s, t in alphabet]
         factors = []
         if depth:
             for ep, pool in zip(alphabet, edge_pools):
                 factors.append({
-                    mask: _validated_count(src.edges, (ep,), _pick_edge_map(n, (mask,)), (orders,))
-                    for mask, orders in pool.items()
+                    mask: _validated_count(src.edges, (ep,), edge_map, orders)
+                    for mask, edge_map, orders, _ in _extend_picks([root], pool)
                 })
         extensions = list(enumerate(zip(alphabet, edge_pools, factors)))
         first = None  # the least (position in objects, base map, whole, product) mismatch
@@ -750,8 +737,7 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
             if target is not None:
                 k, weight = target
                 if len(edges) != 1:
-                    for _, masks, orders, product in picks:
-                        edge_map = _pick_edge_map(n, masks)
+                    for _, edge_map, orders, product in picks:
                         whole = _validated_count(src.edges, edges, edge_map, orders)
                         if whole != product:
                             bad = (k, _base_map(edge_map), whole, product)
@@ -761,7 +747,7 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
                 for r, (ep, pool, edge_factors) in extensions[lowest:]:
                     visit(edges + (ep,), _extend_picks(picks, pool, edge_factors), r if reduced else 0)
 
-        visit((), [_ROOT_PICK], 0)
+        visit((), [root], 0)
         if first is not None:
             k, base, whole, product = first
             return Check(

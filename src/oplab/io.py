@@ -190,7 +190,9 @@ def load_category(path: str | Path) -> EnrichedCategory:
             parts = key.split(",")
             if len(parts) != 2 or parts[0] not in objects or parts[1] not in objects:
                 raise SchemaError(f"{path}: bad hom key {key!r}")
-            names[objects.index(parts[0])][objects.index(parts[1])] = value
+            names[objects.index(parts[0])][objects.index(parts[1])] = _typed(
+                value, str, str(path), f"hom entry {key!r}"
+            )
     if any(v is None for row in names for v in row):
         raise SchemaError(f"{path}: hom table is not total")
     base = load_quantale(base_path)
@@ -207,7 +209,7 @@ def _value_table(c: EnrichedCategory, module: ModuleLattice, data: dict, where: 
         for x in c.objects.labels:
             if x not in raw:
                 raise SchemaError(f"{where}: missing value at {x!r}")
-            names.append(raw[x])
+            names.append(_typed(raw[x], str, where, f"value at {x!r}"))
     return tuple(module.index(v) for v in names)
 
 

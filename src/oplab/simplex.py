@@ -392,20 +392,15 @@ def _check_universal(simplices, y, xbar, lift, cache: _HomCache) -> Check | None
     enumeration order, and the first failing pair is the witness.
 
     Within one z, every psi and every cut(h) runs cut(z) -> cut(xbar),
-    every h0 runs z -> y and every cut(h0) runs cut(z) -> cut(y), so the
-    keys hold index data only. The psis are grouped by the (edge map,
+    every h0 and every h;lift runs z -> y, and every cut(h0) and every
+    psi;cut(lift) runs cut(z) -> cut(y), so the keys hold index data only. The psis are grouped by the (edge map,
     fibers) of psi;cut(lift), and each h is counted under (index map of
-    h;lift, edge map and fibers of cut(h)). A composite psi;cut(lift) that
-    does not run cut(z) -> cut(y), or an h;lift that does not run z -> y,
-    equals no cut(h0) or h0: it is skipped, as the pairwise scan's full
-    comparison would skip it. Each h0 then finds exactly the psis the scan
-    would accept, in the same order, and each count is the number of
-    matches the scan would find for (h0, psi).
+    h;lift, edge map and fibers of cut(h)). Each h0 then finds exactly the
+    psis the scan would accept, in the same order, and each count is the
+    number of matches the scan would find for (h0, psi).
     """
     cut_lift = cache.cut(lift)
-    cut_y = cut_object(y)
     for z in simplices:
-        cut_z = cut_object(z)
         try:
             psis = cache.cut_homs(z, xbar)
         except InvalidCandidate as err:
@@ -413,16 +408,14 @@ def _check_universal(simplices, y, xbar, lift, cache: _HomCache) -> Check | None
         by_composite: dict[tuple, list[tuple]] = {}
         for psi in psis:
             composite = compose_graph_morphisms(psi, cut_lift)
-            if composite.source == cut_z and composite.target == cut_y:
-                by_composite.setdefault((composite.edge_map, composite.fibers), []).append(
-                    (psi.edge_map, psi.fibers)
-                )
+            by_composite.setdefault((composite.edge_map, composite.fibers), []).append(
+                (psi.edge_map, psi.fibers)
+            )
         factorizations: Counter[tuple] = Counter()
         for h in cache.delta_homs(z, xbar):
             through = compose_delta(h, lift)
-            if through.source == z and through.target == y:
-                cut_h = cache.cut(h)
-                factorizations[through.underlying, cut_h.edge_map, cut_h.fibers] += 1
+            cut_h = cache.cut(h)
+            factorizations[through.underlying, cut_h.edge_map, cut_h.fibers] += 1
         for h0 in cache.delta_homs(z, y):
             cut_h0 = cache.cut(h0)
             for edge_map, fibers in by_composite.get((cut_h0.edge_map, cut_h0.fibers), ()):

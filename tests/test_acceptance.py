@@ -102,6 +102,16 @@ def _report(num, name, budget, body):
 
 
 def test_criterion_1_operad_axioms():
+    # (objects, source/target pairs) at <=3 and at <=4 edges over {a,b}
+    anchors = {
+        OperadTag.ASSOC: ((85, 7225), (341, 116281)),
+        OperadTag.LM: ((259, 67081), (1555, 2418025)),
+        OperadTag.RM: ((259, 67081), (1555, 2418025)),
+    }
+
+    def witnesses(kinds, bound, objects, pairs):
+        return [f"{objects} objects", f"fibers match {kinds}^n for n<={bound}", f"{pairs} source/target pairs"]
+
     def body():
         labels = labelset("a", "b")
         total = 0
@@ -113,11 +123,14 @@ def test_criterion_1_operad_axioms():
                 assert len(fiber) == len(alphabet) ** n
             rep_ = check_operad_axioms(tag, labels, 3)
             assert rep_.ok, (tag, rep_.first_failure())
+            assert [c.witness for c in rep_.checks] == witnesses(len(alphabet), 3, *anchors[tag][0])
             total += 1
         at_four = []
         for tag in (OperadTag.ASSOC, OperadTag.LM, OperadTag.RM):
             rep_ = check_operad_axioms(tag, labels, 4)
             assert rep_.ok, (tag, rep_.first_failure())
+            kinds = len(allowed_edges(tag, labels))
+            assert [c.witness for c in rep_.checks] == witnesses(kinds, 4, *anchors[tag][1])
             at_four.append(f"{tag.value} <=4 edges: {rep_.checks[-1].witness}")
         return f"{total} operads at |S|=2, <=3 edges; " + "; ".join(at_four)
 

@@ -117,6 +117,30 @@ def test_malformed_field_exits_two(tmp_path, kind, fixture, field, value):
 
 
 @pytest.mark.parametrize(
+    "kind, fixture, field, key, value, name",
+    [
+        # "1" names an element of the Boolean quantale; 1 and True do not
+        ("category", "preorder.json", "hom", "x,x", 1, "hom entry 'x,x'"),
+        ("category", "preorder.json", "hom", "x,x", True, "hom entry 'x,x'"),
+        ("category", "preorder.json", "hom", "x,x", ["1"], "hom entry 'x,x'"),
+        ("presheaf", "presheaf.json", "values", "x", 0, "value at 'x'"),
+        ("copresheaf", "copresheaf.json", "values", "x", 1, "value at 'x'"),
+    ],
+    ids=["hom-int", "hom-bool", "hom-list", "presheaf-int", "copresheaf-int"],
+)
+def test_entry_names_must_be_strings(tmp_path, kind, fixture, field, key, value, name):
+    for ref in ("boolean.json", "preorder.json"):
+        (tmp_path / ref).write_text((FIXTURES / ref).read_text())
+    data = json.loads((FIXTURES / fixture).read_text())
+    data[field][key] = value
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(data))
+    report, code = run(["--deterministic", "validate", kind, str(bad)])
+    assert (report.status, code) == ("error", 2)
+    assert report.checks[0].witness == f"SchemaError: {bad}: {name} must be a JSON str, got {value!r}"
+
+
+@pytest.mark.parametrize(
     "kind, fixture, fields",
     [
         ("quantale", "boolean.json", {"elements": [0, 1], "tensor": [[0, 0], [0, 1]], "unit": 1}),

@@ -243,6 +243,10 @@ def test_generator_shapes():
     assert loop.fibers == ((),)
     c = contract_path(S, ("a", "b", "b"))
     assert c.fibers == ((0, 1),)
+    # the shortest chain contracts its one edge onto itself
+    one = contract_path(S, ("a", "a"))
+    assert one.source == one.target == path_graph(S, ("a", "a"))
+    assert (one.edge_map, one.fibers) == ((0,), ((0,),))
     with pytest.raises(InvalidLabels):
         contract_path(S, ("a",))
     with pytest.raises(InvalidLabels):
@@ -638,6 +642,16 @@ def test_enumerate_examples():
     assert len(ms) == 2  # frozen by hand: delete both, or contract the loop path
     assert contract_path(S, ("a", "b", "a")) in ms
     assert enumerate_graph_morphisms(empty_graph(S), path_graph(S, ("a", "b"))) == []
+    # the order: a deleted edge sorts before edge 0, then fibers decide
+    loops = Graph(S, (("a", "a"), ("a", "a")))
+    ms = enumerate_graph_morphisms(loops, Graph(S, (("a", "a"),)))
+    assert [(m.edge_map, m.fibers) for m in ms] == [
+        ((None, None), ((),)),
+        ((None, 0), ((1,),)),
+        ((0, None), ((0,),)),
+        ((0, 0), ((0, 1),)),
+        ((0, 0), ((1, 0),)),
+    ]
 
 
 def test_enumerate_deterministic_and_bounded(monkeypatch):
