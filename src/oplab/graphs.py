@@ -494,7 +494,8 @@ def _extend_picks(picks, pool: dict, factors: dict | None = None) -> list:
     factors at the picked masks. Each pick is extended by every mask of the
     edge's chain pool disjoint from its used mask, in pool order, and sends
     that mask's edges to the new target edge; the product gains
-    factors[mask] when factors is given.
+    factors[mask] when factors is given and is carried unchanged otherwise
+    (the candidate search roots it at None and never reads it).
     """
     out = []
     for used, edge_map, orders, product in picks:
@@ -505,8 +506,8 @@ def _extend_picks(picks, pool: dict, factors: dict | None = None) -> list:
                 # any path order of a mask lists exactly its edges
                 for e in mask_orders[0]:
                     images[e] = target
-                factor = 1 if factors is None else factors[mask]
-                out.append((used | mask, tuple(images), orders + (mask_orders,), product * factor))
+                grown = product if factors is None else product * factors[mask]
+                out.append((used | mask, tuple(images), orders + (mask_orders,), grown))
     return out
 
 
@@ -520,7 +521,7 @@ def _morphism_candidates(src_edges, tgt_edges):
     validate them whole.
     """
     pools = {edge: _chain_pool(src_edges, *edge) for edge in set(tgt_edges)}
-    picks = [(0, (None,) * len(src_edges), (), 1)]
+    picks = [(0, (None,) * len(src_edges), (), None)]
     for edge in tgt_edges:
         picks = _extend_picks(picks, pools[edge])
     for _, edge_map, orders, _ in picks:
@@ -603,18 +604,49 @@ def enumerate_objects(tag: OperadTag, labels: LabelSet, max_edges: int) -> list[
 # Operad axiom checking.
 
 
-def _orbit_sources(objects: list[Graph], alphabet, reduced: bool) -> list[Graph]:
-    """The objects a walk visits: all of them, or when reduced one edge order
-    per orbit, those whose edges are sorted by alphabet rank."""
+def _orbit_sources(objects: list[Graph], alphabet, reduced: bool) -> list[tuple[Graph, int]]:
+    """The objects a walk visits, each with the number of sorted objects in
+    its orbit: unreduced, every object as its own orbit.
+
+    Reduced, one object per orbit of edge orders and permutations of the
+    base labels (STAR stays fixed): the one whose tuple of alphabet ranks is
+    least. A rank grows with the label index of each endpoint, and STAR
+    comes last, so that object uses exactly the first k base labels, k the
+    number it uses, and no permutation of those k gives a smaller sorted
+    tuple; only those k! are tried. Its orbit counts its sorted images
+    under the injections of those k labels into the base labels that
+    objects holds.
+    """
     if not reduced:
-        return objects
+        return [(g, 1) for g in objects]
     rank = {ep: r for r, ep in enumerate(alphabet)}
-    return [g for g in objects if all(rank[a] <= rank[b] for a, b in zip(g.edges, g.edges[1:]))]
+    labels = tuple(dict.fromkeys(v for ep in alphabet for v in ep if v != STAR))
+    present = {g.edges for g in objects}
+
+    def image(edges, names):
+        """edges with base label i renamed names[i], sorted by rank."""
+        to = dict(zip(labels, names))
+        to[STAR] = STAR
+        return tuple(sorted(((to[s], to[t]) for s, t in edges), key=rank.__getitem__))
+
+    out = []
+    for g in objects:
+        used = {v for ep in g.edges for v in ep} - {STAR}
+        first = labels[: len(used)]
+        if used != set(first):
+            continue
+        ranks = [rank[ep] for ep in g.edges]
+        # the identity comes first and rejects every unsorted tuple
+        if all(ranks <= [rank[ep] for ep in image(g.edges, names)] for names in itertools.permutations(first)):
+            orbit = {image(g.edges, names) for names in itertools.permutations(labels, len(first))}
+            out.append((g, len(orbit & present)))
+    return out
 
 
 def _by_orbit(walk, objects: list[Graph], alphabet) -> Check:
-    """Decide walk once per orbit of edge orders. When the reduced walk fails,
-    the full walk runs to report the witness the full objects order defines."""
+    """Decide walk once per orbit of edge orders and base-label permutations.
+    When the reduced walk fails, the full walk runs to report the witness
+    the full objects order defines."""
     check = walk(objects, alphabet, reduced=True)
     return check if check.ok else walk(objects, alphabet, reduced=False)
 
@@ -626,7 +658,7 @@ def _inert_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     <n> number sum_m n!/(n-m)!, so distinct underlying maps in that number
     cover each exactly once.
     """
-    for g in _orbit_sources(objects, alphabet, reduced):
+    for g, _ in _orbit_sources(objects, alphabet, reduced):
         n = len(g.edges)
         bases: set[tuple[int, ...]] = set()
         for lift in enumerate_inert_from(g):
@@ -648,12 +680,15 @@ def _inert_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
 
 
 def _check_inert_lifts(objects: list[Graph], alphabet) -> Check:
-    """Inert lifts, decided once per orbit of edge orders.
+    """Inert lifts, decided once per orbit of edge orders and base-label
+    permutations.
 
     Permuting a source's edges is an isomorphism of objects. It carries the
     source's inert lifts onto the permuted source's, keeps each lift's
     validity and class, and permutes the base maps bijectively, so their
     count and distinctness are the same at every edge order of an orbit.
+    Renaming the base labels keeps each lift's index data, and validation
+    and class only compare endpoint names for equality.
     """
     return _by_orbit(_inert_walk, objects, alphabet)
 
@@ -704,20 +739,22 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     mismatch is reported at the first failing source, at its first failing
     target in objects order, at the least base map in lexicographic order.
 
-    Reduced, the walk decides one edge order per orbit: it skips every
-    source whose edges are not sorted by alphabet rank, and extends a
-    target only by edges of rank at least its last one. Sorted tuples are
-    closed under prefixes, so the trie stays a trie. Each visited pair
-    counts as the number of distinct orderings of its source times that of
-    its target.
+    Reduced, the walk visits one source per orbit of edge orders and
+    base-label permutations (_orbit_sources), and extends a target only by
+    edges of rank at least its last one. Sorted tuples are closed under
+    prefixes, so the trie stays a trie. Targets are not reduced by labels:
+    one permutation acts on source and target together, and every target
+    is visited for each source. Each visited pair counts as the number of
+    distinct orderings of its source times its orbit, times the number of
+    distinct orderings of its target.
     """
     # position in objects and pair weight of each target, by its edge tuple
     index = {g.edges: (k, _orderings(g.edges) if reduced else 1) for k, g in enumerate(objects)}
     depth = max(map(len, index))
     pairs_checked = 0
-    for src in _orbit_sources(objects, alphabet, reduced):
+    for src, orbit in _orbit_sources(objects, alphabet, reduced):
         root = (0, (None,) * len(src.edges), (), 1)
-        src_weight = index[src.edges][1]
+        src_weight = index[src.edges][1] * orbit
         edge_pools = [_chain_pool(src.edges, s, t) for s, t in alphabet]
         factors = []
         if depth:
@@ -759,13 +796,16 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
 
 
 def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
-    """The Segal condition on morphisms, decided once per orbit of edge orders.
+    """The Segal condition on morphisms, decided once per orbit of edge
+    orders and base-label permutations.
 
     Permuting a source's or a target's edges carries _validate_indices'
     accepted set onto itself, and so permutes the whole counts and the
-    single-edge factors per base map without changing them. The reduced
-    walk therefore reaches the verdict of the full one, and its multinomial
-    weights make the pair count the full count.
+    single-edge factors per base map without changing them. Renaming the
+    base labels of source and target together keeps the accepted set, as
+    _validate_indices only compares endpoint names for equality. The
+    reduced walk therefore reaches the verdict of the full one, and its
+    orbit and multinomial weights make the pair count the full count.
     """
     return _by_orbit(_segal_walk, objects, alphabet)
 
@@ -779,9 +819,11 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
         product of the validated counts into each single-edge restriction of
         the target; one search and one validator decide both sides.
 
-    (1) and (3) visit one edge order per orbit: only sources whose edges are
-    sorted by alphabet rank. Permuting edges carries both conditions along,
-    and a failure is reported at the first failing object in objects order.
+    (1) and (3) visit one source per orbit of edge orders and base-label
+    permutations: the sorted one that uses a prefix of the base labels and
+    has the least alphabet ranks. Both symmetries carry the conditions
+    along, and a failure is reported at the first failing object in objects
+    order.
 
     A negative bound raises InvalidBound, and objects past OBJECT_BOUND or
     OBJECT_EDGE_BOUND raise SizeBoundExceeded, before any is built.

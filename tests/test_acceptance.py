@@ -108,6 +108,14 @@ def test_criterion_1_operad_axioms():
         OperadTag.LM: ((259, 67081), (1555, 2418025)),
         OperadTag.RM: ((259, 67081), (1555, 2418025)),
     }
+    # (bound, objects, source/target pairs) at the largest bound over {a,b}
+    # that OBJECT_BOUND admits
+    at_bound = {
+        OperadTag.ASSOC: (5, 1365, 1863225),
+        OperadTag.LM: (5, 9331, 87067561),
+        OperadTag.RM: (5, 9331, 87067561),
+        OperadTag.ASSOC_POINTED: (4, 7381, 54479161),
+    }
 
     def witnesses(kinds, bound, objects, pairs):
         return [f"{objects} objects", f"fibers match {kinds}^n for n<={bound}", f"{pairs} source/target pairs"]
@@ -132,6 +140,11 @@ def test_criterion_1_operad_axioms():
             kinds = len(allowed_edges(tag, labels))
             assert [c.witness for c in rep_.checks] == witnesses(kinds, 4, *anchors[tag][1])
             at_four.append(f"{tag.value} <=4 edges: {rep_.checks[-1].witness}")
+        for tag, (bound, objects, pairs) in at_bound.items():
+            rep_ = check_operad_axioms(tag, labels, bound)
+            assert rep_.ok, (tag, rep_.first_failure())
+            kinds = len(allowed_edges(tag, labels))
+            assert [c.witness for c in rep_.checks] == witnesses(kinds, bound, objects, pairs)
         return f"{total} operads at |S|=2, <=3 edges; " + "; ".join(at_four)
 
     _report(1, "operad axioms", 60, body)
