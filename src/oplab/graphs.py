@@ -643,22 +643,25 @@ def _orbit_sources(objects: list[Graph], alphabet, reduced: bool) -> list[tuple[
     return out
 
 
-def _by_orbit(walk, objects: list[Graph], alphabet) -> Check:
-    """Decide walk once per orbit of edge orders and base-label permutations.
+def _by_orbit(walk, objects: list[Graph], alphabet, sources) -> Check:
+    """Decide walk once per orbit of edge orders and base-label permutations,
+    over `sources` when the caller has built the reduced _orbit_sources.
     When the reduced walk fails, the full walk runs to report the witness
     the full objects order defines."""
-    check = walk(objects, alphabet, reduced=True)
+    check = walk(objects, alphabet, reduced=True, sources=sources)
     return check if check.ok else walk(objects, alphabet, reduced=False)
 
 
-def _inert_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
+def _inert_walk(objects: list[Graph], alphabet, reduced: bool, sources=None) -> Check:
     """Every inert base map out of <n> has exactly one lift, and it is inert.
 
     The lifts are those of enumerate_inert_from. Distinct inert maps out of
     <n> number sum_m n!/(n-m)!, so distinct underlying maps in that number
     cover each exactly once.
     """
-    for g, _ in _orbit_sources(objects, alphabet, reduced):
+    if sources is None:
+        sources = _orbit_sources(objects, alphabet, reduced)
+    for g, _ in sources:
         n = len(g.edges)
         bases: set[tuple[int, ...]] = set()
         for lift in enumerate_inert_from(g):
@@ -679,7 +682,7 @@ def _inert_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     return Check("inert-lifts", True, f"{len(objects)} objects")
 
 
-def _check_inert_lifts(objects: list[Graph], alphabet) -> Check:
+def _check_inert_lifts(objects: list[Graph], alphabet, sources=None) -> Check:
     """Inert lifts, decided once per orbit of edge orders and base-label
     permutations.
 
@@ -690,7 +693,7 @@ def _check_inert_lifts(objects: list[Graph], alphabet) -> Check:
     Renaming the base labels keeps each lift's index data, and validation
     and class only compare endpoint names for equality.
     """
-    return _by_orbit(_inert_walk, objects, alphabet)
+    return _by_orbit(_inert_walk, objects, alphabet, sources)
 
 
 def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Check:
@@ -724,7 +727,7 @@ def _orderings(edges) -> int:
     return out
 
 
-def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
+def _segal_walk(objects: list[Graph], alphabet, reduced: bool, sources=None) -> Check:
     """Compare whole-morphism counts with products of single-edge counts.
 
     For each source, a depth-first walk over the trie of target edge tuples
@@ -748,11 +751,13 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     distinct orderings of its source times its orbit, times the number of
     distinct orderings of its target.
     """
+    if sources is None:
+        sources = _orbit_sources(objects, alphabet, reduced)
     # position in objects and pair weight of each target, by its edge tuple
     index = {g.edges: (k, _orderings(g.edges) if reduced else 1) for k, g in enumerate(objects)}
     depth = max(map(len, index))
     pairs_checked = 0
-    for src, orbit in _orbit_sources(objects, alphabet, reduced):
+    for src, orbit in sources:
         root = (0, (None,) * len(src.edges), (), 1)
         src_weight = index[src.edges][1] * orbit
         edge_pools = [_chain_pool(src.edges, s, t) for s, t in alphabet]
@@ -795,7 +800,7 @@ def _segal_walk(objects: list[Graph], alphabet, reduced: bool) -> Check:
     return Check("segal-morphisms", True, f"{pairs_checked} source/target pairs")
 
 
-def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
+def _check_segal_morphisms(objects: list[Graph], alphabet, sources=None) -> Check:
     """The Segal condition on morphisms, decided once per orbit of edge
     orders and base-label permutations.
 
@@ -807,7 +812,7 @@ def _check_segal_morphisms(objects: list[Graph], alphabet) -> Check:
     reduced walk therefore reaches the verdict of the full one, and its
     orbit and multinomial weights make the pair count the full count.
     """
-    return _by_orbit(_segal_walk, objects, alphabet)
+    return _by_orbit(_segal_walk, objects, alphabet, sources)
 
 
 def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> ValidationReport:
@@ -833,9 +838,10 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
     alphabet = allowed_edges(tag, labels)
     _require_enumerable(len(alphabet), max_edges)
     objects = enumerate_objects(tag, labels, max_edges)
+    sources = _orbit_sources(objects, alphabet, reduced=True)
     checks = (
-        _check_inert_lifts(objects, alphabet),
+        _check_inert_lifts(objects, alphabet, sources),
         _check_segal_objects(objects, alphabet, max_edges),
-        _check_segal_morphisms(objects, alphabet),
+        _check_segal_morphisms(objects, alphabet, sources),
     )
     return ValidationReport(checks)

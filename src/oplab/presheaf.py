@@ -19,6 +19,7 @@ from .quantale import (
     module_bottom,
     module_join,
     module_meet,
+    module_top,
     transpose_module,
 )
 from .report import Check, Law, ValidationReport, check_laws, failing, passing, search_tables
@@ -29,7 +30,7 @@ def _require_home(category: EnrichedCategory, module: ModuleLattice, side: str) 
     if module.side != side:
         kind = "presheaves" if side == LEFT else "copresheaves"
         raise BaseMismatch(f"{kind} take values in a {side} module")
-    if module.base != category.base:
+    if module.base is not category.base and module.base != category.base:
         raise BaseMismatch("module and category live over different quantales")
 
 
@@ -135,7 +136,7 @@ def free_presheaf(
 
 def leq_presheaves(f: Presheaf, g: Presheaf) -> bool:
     _require_same_home(f, g)
-    return all(f.module.le(a, b) for a, b in zip(f.values, g.values))
+    return all(map(f.module.le, f.values, g.values))
 
 
 def _require_same_home(f, g):
@@ -171,11 +172,12 @@ def _pointwise(fold, what: str, fs, category, module) -> Presheaf:
         category, module = fs[0].category, fs[0].module
         for f in fs[1:]:
             _require_same_home(fs[0], f)
+        columns = zip(*[f.values for f in fs])
     elif category is None or module is None:
         raise BaseMismatch(f"an empty {what} needs an explicit category and module")
-    k = len(category.objects.labels)
-    values = tuple(fold(module, tuple(f.values[i] for f in fs)) for i in range(k))
-    return Presheaf(category, module, values)
+    else:
+        columns = [()] * len(category.objects.labels)
+    return Presheaf(category, module, tuple(fold(module, column) for column in columns))
 
 
 def join_presheaves(
@@ -272,13 +274,6 @@ class PresheafLattice:
             for i in range(n)
         )
         self.module = ModuleLattice(q, RIGHT, names, leq, action)
-        self.join_table = tuple(
-            tuple(
-                self.index_of(join_presheaves([self.presheaves[i], self.presheaves[j]]))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
         self.bottom_index = self.index_of(join_presheaves([], category, left_self_module(q)))
         self.representables = tuple(
             self.index_of(rep(category, x)) for x in category.objects.labels
@@ -337,9 +332,10 @@ def modulemap_laws(lattice: PresheafLattice, n: ModuleLattice) -> tuple[Law, ...
     joins = tuple(tuple(module_join(n, (x, y)) for y in range(n.size())) for x in range(n.size()))
     b = lattice.bottom_index
     laws = [Law("join-preservation", "empty join", b, lambda t: t[b] == bottom)]
+    fs = lattice.presheaves
     for i in range(size):
         for j in range(i, size):
-            o = lattice.join_table[i][j]
+            o = lattice.index_of(join_presheaves([fs[i], fs[j]]))
             laws.append(
                 Law(
                     "join-preservation",
@@ -386,13 +382,7 @@ def duality_to_modulemap(g: Copresheaf, lattice: PresheafLattice) -> ModuleMap:
     if g.category != lattice.category:
         raise BaseMismatch("copresheaf lives on a different category")
     n = g.module
-    table = tuple(
-        module_join(
-            n,
-            tuple(n.act(f.values[i], g.values[i]) for i in range(len(g.values))),
-        )
-        for f in lattice.presheaves
-    )
+    table = tuple(module_join(n, tuple(map(n.act, f.values, g.values))) for f in lattice.presheaves)
     out = ModuleMap(lattice, n, table)
     validate_modulemap(out).require("duality_to_modulemap")
     return out
@@ -485,30 +475,54 @@ def check_density(c: EnrichedCategory) -> ValidationReport:
 def check_pointwise_limits(c: EnrichedCategory) -> ValidationReport:
     """Joins and meets of every family of self-valued presheaves validate
     and are computed pointwise. More than 16 presheaves are refused before
-    any family is formed."""
+    any family is formed.
+
+    Families come size by size in `itertools.combinations` order. The
+    expected join and meet of a family extend those of the family without
+    its last member by one binary join and meet per object, so only the
+    previous size's expectations are kept.
+    """
     presheaves = enumerate_presheaves(c)
     if len(presheaves) > 16:
         raise SizeBoundExceeded(f"{2 ** len(presheaves)} families exceed the family bound")
     module = left_self_module(c.base)
     valid = {f.values for f in presheaves}
+    elements = range(module.size())
+    joins = tuple(tuple(module_join(module, (x, y)) for y in elements) for x in elements)
+    meets = tuple(tuple(module_meet(module, (x, y)) for y in elements) for x in elements)
+    k = len(c.objects.labels)
 
     def fails(family, what: str) -> ValidationReport:
         return failing("pointwise-limits", f"family {tuple(f.values for f in family)}: {what}")
 
     families = 0
+    level = {(): ((module_bottom(module),) * k, (module_top(module),) * k)}
     for r in range(len(presheaves) + 1):
-        for family in itertools.combinations(presheaves, r):
+        expected = {}
+        for picked in itertools.combinations(range(len(presheaves)), r):
+            family = tuple(presheaves[p] for p in picked)
+            if r:
+                join_before, meet_before = level[picked[:-1]]
+                last = family[-1].values
+                want = (
+                    tuple(joins[a][v] for a, v in zip(join_before, last)),
+                    tuple(meets[a][v] for a, v in zip(meet_before, last)),
+                )
+            else:
+                want = level[()]
             j = join_presheaves(family, c, module)
             m = meet_presheaves(family, c, module)
             if j.values not in valid or m.values not in valid:
                 return fails(family, "join or meet fails to validate")
-            for i, x in enumerate(c.objects.labels):
-                values = tuple(f.values[i] for f in family)
-                if j.values[i] != module_join(module, values):
-                    return fails(family, f"join not pointwise at {x}")
-                if m.values[i] != module_meet(module, values):
-                    return fails(family, f"meet not pointwise at {x}")
+            if (j.values, m.values) != want:
+                for i, x in enumerate(c.objects.labels):
+                    if j.values[i] != want[0][i]:
+                        return fails(family, f"join not pointwise at {x}")
+                    if m.values[i] != want[1][i]:
+                        return fails(family, f"meet not pointwise at {x}")
+            expected[picked] = want
             families += 1
+        level = expected
     return passing("pointwise-limits", f"{families} families")
 
 

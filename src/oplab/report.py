@@ -104,20 +104,27 @@ def search_tables(size: int, n_values: int, laws: Sequence[Law]) -> list[tuple[i
     total = n_values**size
     if total > TABLE_BOUND:
         raise SizeBoundExceeded(f"{total} candidate tables exceed the bound {TABLE_BOUND}")
-    laws_at = [[] for _ in range(size)]
+    every = [law.holds for law in laws]
+    holds_at = [[] for _ in range(size)]
     for law in laws:
-        laws_at[law.last].append(law)
+        holds_at[law.last].append(law.holds)
     table = [0] * size
     out = []
 
     def extend(p: int) -> None:
         if p == size:
-            if all(law.holds(table) for law in laws):
-                out.append(tuple(table))
+            for holds in every:
+                if not holds(table):
+                    return
+            out.append(tuple(table))
             return
+        here = holds_at[p]
         for v in range(n_values):
             table[p] = v
-            if all(law.holds(table) for law in laws_at[p]):
+            for holds in here:
+                if not holds(table):
+                    break
+            else:
                 extend(p + 1)
 
     extend(0)

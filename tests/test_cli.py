@@ -167,6 +167,21 @@ def test_element_names_must_be_strings(tmp_path, kind, fixture, fields):
 
 
 @pytest.mark.parametrize(
+    "key", ["x", "x,y,z", "x,q", "q,y"], ids=["one-part", "three-parts", "unknown-target", "unknown-source"]
+)
+def test_bad_hom_key_exits_two(tmp_path, key):
+    # the table stays total, so the key's arity or one unknown side is its only fault
+    (tmp_path / "boolean.json").write_text((FIXTURES / "boolean.json").read_text())
+    data = json.loads((FIXTURES / "preorder.json").read_text())
+    data["hom"][key] = "1"
+    bad = tmp_path / "preorder.json"
+    bad.write_text(json.dumps(data))
+    report, code = run(["--deterministic", "validate", "category", str(bad)])
+    assert (report.status, code) == ("error", 2)
+    assert report.checks[0].witness == f"SchemaError: {bad}: bad hom key {key!r}"
+
+
+@pytest.mark.parametrize(
     "field, value, witness",
     [
         ("edge_map", [1, 2], "edge image 1 outside target"),
@@ -305,6 +320,21 @@ def test_text_report_shows_fail_witness():
     report = cli.Report("fail", (Check("thing", False, "broken here"),), 0)
     text = render(report, "text")
     assert "FAIL thing -- broken here" in text
+
+
+@pytest.mark.parametrize("result", [None, {"edges": []}], ids=["no-result", "result"])
+def test_result_is_emitted_exactly_when_present(result):
+    report = cli.Report("pass", (Check("thing", True, None),), 0, result)
+    assert ("result" in json.loads(render(report, "json"))) is (result is not None)
+    lines = render(report, "text").splitlines()
+    assert lines == ["PASS thing"] + ([json.dumps(result)] if result is not None else []) + ["pass (0 ms)"]
+
+
+def test_main_reads_argv_by_default(monkeypatch, capsys):
+    argv = ["oplab", "--deterministic", "--format", "json", "validate", "quantale", str(FIXTURES / "boolean.json")]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert cli.main(None) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_negative_bounds_exit_two():

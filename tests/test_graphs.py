@@ -1376,6 +1376,23 @@ def test_orbit_sources_match_brute_force(tag):
         assert graphs._orbit_sources(objects, alphabet, reduced=False) == [(g, 1) for g in objects]
 
 
+def test_operad_axioms_build_orbit_sources_once(monkeypatch):
+    # inert-lifts and segal-morphisms share one reduced source list; only a
+    # failing walk's full rerun builds the unreduced one
+    real = graphs._orbit_sources
+    built = []
+
+    def counting(objects, alphabet, reduced):
+        built.append(reduced)
+        return real(objects, alphabet, reduced)
+
+    monkeypatch.setattr(graphs, "_orbit_sources", counting)
+    for tag in OperadTag:
+        built.clear()
+        assert check_operad_axioms(tag, S, 2).ok, tag
+        assert built == [True], tag
+
+
 def _accepted_indices(src_edges, tgt_edges):
     """The index data of enumerate_graph_morphisms' candidates that
     _validate_indices accepts."""

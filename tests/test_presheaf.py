@@ -1,5 +1,6 @@
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -608,6 +609,32 @@ def test_search_tables_bound_is_inclusive():
         search_tables(20, 2, [never])
 
 
+def _random_law(rng, size, n_values):
+    """A law over a random set of positions with a random truth table; its
+    `last` is the greatest position it reads."""
+    reads = sorted(rng.sample(range(size), rng.randint(0, min(size, 3))))
+    truth = {key: rng.random() < 0.7 for key in itertools.product(range(n_values), repeat=len(reads))}
+    last = reads[-1] if reads else rng.randrange(size)
+    return Law("random", f"{reads}", last, lambda t: truth[tuple(t[p] for p in reads)])
+
+
+def test_search_tables_matches_product_filter():
+    rng = random.Random(20)
+    for _ in range(300):
+        size, n_values = rng.randint(0, 5), rng.randint(1, 3)
+        laws = [_random_law(rng, size, n_values) for _ in range(rng.randint(0, 6) if size else 0)]
+        found = search_tables(size, n_values, laws)
+        every = itertools.product(range(n_values), repeat=size)
+        assert found == [t for t in every if all(law.holds(t) for law in laws)], (size, n_values)
+        for t in found:
+            assert check_laws(laws, t, "random").ok
+    # a failing law abandons the partial table at its last position
+    tried = []
+    never = Law("never", "no table", 0, lambda t: tried.append(t[0]) or False)
+    assert search_tables(3, 4, [never]) == []
+    assert tried == [0, 1, 2, 3]
+
+
 def test_modulemap_search_matches_reference():
     luk2 = lukasiewicz(2)
     targets = [right_self_module(BOOL)] + [boolean_downset_module(k, RIGHT) for k in (1, 2, 3)]
@@ -733,6 +760,33 @@ def test_pointwise_limits_reports_seeded_defect(monkeypatch):
     assert check_pointwise_limits(PREORDER).checks == (
         Check("pointwise-limits", False, "family ((0, 0), (1, 0)): join not pointwise at x"),
     )
+
+
+def _drop_last_of_three_or_more(join):
+    def patched(fs, category=None, module=None):
+        fs = list(fs)
+        return join(fs[:-1] if len(fs) >= 3 else fs, category, module)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, wrap, witness",
+    [
+        # every join of at most two presheaves is right, so the expected join
+        # of a family of three is carried from its prefix, not from a wrong join
+        (
+            "join_presheaves",
+            _drop_last_of_three_or_more,
+            "family ((0, 0), (0, 1), (1, 0)): join not pointwise at o0",
+        ),
+        ("meet_presheaves", _keep_first, "family ((0, 1), (1, 0)): meet not pointwise at o1"),
+    ],
+    ids=["join-of-three-or-more", "meet-keeps-first"],
+)
+def test_pointwise_limits_reports_seeded_prefix_defect(monkeypatch, name, wrap, witness):
+    monkeypatch.setattr(presheaf, name, wrap(getattr(presheaf, name)))
+    assert check_pointwise_limits(_discrete(BOOL, 2)).checks == (Check("pointwise-limits", False, witness),)
 
 
 def test_pushforward_reports_seeded_defect(monkeypatch):

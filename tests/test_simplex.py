@@ -404,6 +404,44 @@ def test_approximation_reports_seeded_defect(monkeypatch, defect):
     assert Check("cartesian-universal", False, witness) in rep.checks
 
 
+def _misclassify_last_edge(monkeypatch):
+    # only the projection of a chain of two or more edges onto its last edge
+    real = simplex.classify_delta
+
+    def defective(m):
+        n = m.source.dim()
+        if n >= 2 and m.underlying == (n - 1, n):
+            return DeltaClass.OTHER
+        return real(m)
+
+    monkeypatch.setattr(simplex, "classify_delta", defective)
+
+
+def _forget_after_structural_inert(monkeypatch):
+    # a composite after a map deleting its last edge is that map alone: the
+    # via-source side of the naturality square breaks, the via-target side
+    # (whose first map keeps its last edge) does not
+    real = simplex.compose_graph_morphisms
+
+    def defective(f, g):
+        return f if f.edge_map[-1:] == (None,) else real(f, g)
+
+    monkeypatch.setattr(simplex, "compose_graph_morphisms", defective)
+
+
+@pytest.mark.parametrize(
+    "seed, check",
+    [
+        (_misclassify_last_edge, Check("inert-chain-lifts", False, "('a', 'a', 'a') at 2")),
+        (_forget_after_structural_inert, Check("lcut-marking", False, "('a',)->('a', 'a'): naturality square broken")),
+    ],
+    ids=["last-edge", "one-side-of-square"],
+)
+def test_approximation_reports_one_sided_defect(monkeypatch, seed, check):
+    seed(monkeypatch)
+    assert check in check_approximation(labelset("a"), 2).checks
+
+
 def _reject_contraction_next_to_a_fiber(tgt_edges, fibers):
     # rejects a morphism the enumerator offers only with three or more
     # source edges, so cartesian-universal's hom-sets meet it first
