@@ -119,6 +119,11 @@ class Graph:
         right graph it was paired with: (spliced graph, positions)."""
         return {}
 
+    @read_once
+    def _chain_pools(self) -> dict:
+        """_morphism_candidates' chain pools out of this graph, by target edge."""
+        return {}
+
 
 def empty_graph(labels: LabelSet) -> Graph:
     return Graph(labels, ())
@@ -292,13 +297,10 @@ def compose_graph_morphisms(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism
     """
     if f.target != g.source:
         raise SourceTargetMismatch("morphisms do not chain")
-    edge_map = tuple(
-        None if v is None else g.edge_map[v] for v in f.edge_map
-    )
-    fibers = tuple(
-        tuple(e for mid in g.fibers[i] for e in f.fibers[mid])
-        for i in range(len(g.target.edges))
-    )
+    edge_map = tuple([None if v is None else g.edge_map[v] for v in f.edge_map])
+    fibers = tuple([
+        tuple([e for mid in g.fibers[i] for e in f.fibers[mid]]) for i in range(len(g.target.edges))
+    ])
     return _unchecked(GraphMorphism, source=f.source, target=g.target, edge_map=edge_map, fibers=fibers)
 
 
@@ -511,18 +513,20 @@ def _extend_picks(picks, pool: dict, factors: dict | None = None) -> list:
     return out
 
 
-def _morphism_candidates(src_edges, tgt_edges):
+def _morphism_candidates(src_edges, tgt_edges, pools: dict | None = None):
     """Yield every (edge_map, fibers) whose fibers are disjoint paths.
 
     Each target edge picks a mask of source edges from its chain pool, the
     masks pairwise disjoint; the source edges no mask holds are deleted.
     Each pick yields every combination of its path orders. The candidates
     are exactly the morphisms whose every fiber passes _chain_ok; callers
-    validate them whole.
+    validate them whole. A missing pool is built into `pools`, by target edge.
     """
-    pools = {edge: _chain_pool(src_edges, *edge) for edge in set(tgt_edges)}
+    pools = {} if pools is None else pools
     picks = [(0, (None,) * len(src_edges), (), None)]
     for edge in tgt_edges:
+        if edge not in pools:
+            pools[edge] = _chain_pool(src_edges, *edge)
         picks = _extend_picks(picks, pools[edge])
     for _, edge_map, orders, _ in picks:
         for fibers in itertools.product(*orders):
@@ -535,7 +539,7 @@ def enumerate_graph_morphisms(src: Graph, tgt: Graph) -> list[GraphMorphism]:
     A graph of more than OBJECT_EDGE_BOUND edges, the bound every suite
     enforces on its objects, raises SizeBoundExceeded before any candidate
     is built. Candidates come from the chain-pool search of
-    _morphism_candidates; each one must pass _validate_indices.
+    _morphism_candidates over src's pools; each must pass _validate_indices.
     """
     edges = max(len(src.edges), len(tgt.edges))
     if edges > OBJECT_EDGE_BOUND:
@@ -543,7 +547,7 @@ def enumerate_graph_morphisms(src: Graph, tgt: Graph) -> list[GraphMorphism]:
     if src.labels != tgt.labels:
         raise LabelSetMismatch(f"{src.labels} vs {tgt.labels}")
     out = []
-    for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges):
+    for edge_map, fibers in _morphism_candidates(src.edges, tgt.edges, src._chain_pools):
         rep = _validate_indices(src.edges, tgt.edges, edge_map, fibers)
         if not rep.ok:
             failure = rep.first_failure()

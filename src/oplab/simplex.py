@@ -77,6 +77,18 @@ class LabeledSimplex:
         pointed = LabelSet(self.labels.labels, True)
         return path_graph(pointed, self.chain + (STAR,)), path_graph(pointed, self.chain)
 
+    @read_once
+    def _structural_inert(self) -> GraphMorphism:
+        """Delete the final basepoint edge: level 0 to level 1."""
+        a = self.dim()
+        return _unchecked(
+            GraphMorphism,
+            source=self._lcuts[0],
+            target=self._lcuts[1],
+            edge_map=tuple(range(a)) + (None,),
+            fibers=tuple((j,) for j in range(a)),
+        )
+
 
 @dataclass(frozen=True)
 class DeltaOpMorphism:
@@ -110,6 +122,13 @@ class DeltaOpMorphism:
                     f"labels differ at {i}: {self.source.chain[v]!r} vs {self.target.chain[i]!r}"
                 )
 
+    @read_once
+    def _cut(self) -> GraphMorphism:
+        """The path image (see cut_morphism), built once per morphism."""
+        edge_map, fibers = _cut_indices(self.underlying, self.source.dim())
+        src, tgt = cut_object(self.source), cut_object(self.target)
+        return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
+
 
 def identity_delta(x: LabeledSimplex) -> DeltaOpMorphism:
     return DeltaOpMorphism(x, x, tuple(range(x.dim() + 1)))
@@ -123,7 +142,7 @@ def compose_delta(m: DeltaOpMorphism, m2: DeltaOpMorphism) -> DeltaOpMorphism:
         DeltaOpMorphism,
         source=m.source,
         target=m2.target,
-        underlying=tuple(m.underlying[v] for v in m2.underlying),
+        underlying=tuple([m.underlying[v] for v in m2.underlying]),
     )
 
 
@@ -139,9 +158,7 @@ def cut_morphism(m: DeltaOpMorphism) -> GraphMorphism:
     (edges 1-based); the fiber over target edge i is the increasing run
     g(i-1)+1 .. g(i), and source edges outside every run are deleted.
     """
-    edge_map, fibers = _cut_indices(m.underlying, m.source.dim())
-    src, tgt = cut_object(m.source), cut_object(m.target)
-    return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
+    return m._cut
 
 
 def _cut_indices(g: tuple[int, ...], a: int) -> tuple[tuple, tuple]:
@@ -181,16 +198,7 @@ def lcut(x: LabeledSimplex, level: int) -> Graph:
 
 def structural_inert(x: LabeledSimplex) -> GraphMorphism:
     """Delete the final basepoint edge: level 0 to level 1."""
-    src = lcut(x, 0)
-    tgt = lcut(x, 1)
-    a = x.dim()
-    return _unchecked(
-        GraphMorphism,
-        source=src,
-        target=tgt,
-        edge_map=tuple(range(a)) + (None,),
-        fibers=tuple((j,) for j in range(a)),
-    )
+    return x._structural_inert
 
 
 def lcut_morphism(m: DeltaOpMorphism, i: int, j: int) -> GraphMorphism:
@@ -206,7 +214,7 @@ def lcut_morphism(m: DeltaOpMorphism, i: int, j: int) -> GraphMorphism:
     a, b = m.source.dim(), m.target.dim()
     src = lcut(m.source, i)
     tgt = lcut(m.target, j)
-    base = cut_morphism(m)
+    base = m._cut
     if (i, j) == (1, 1):
         return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=base.edge_map, fibers=base.fibers)
     if (i, j) == (0, 1):
@@ -323,25 +331,16 @@ def _actives_into(graph_pool, y: LabeledSimplex) -> list[GraphMorphism]:
 
 
 class _HomCache:
-    """Memoized hom-sets between chains and between their path images, and
-    the path image of each chain morphism.
+    """Memoized hom-sets between chains and between their path images.
 
     One cache serves one approximation suite, so every chain has the same
-    labels and is keyed by its entries alone, and a chain morphism by its
-    chains and index map. Every entry is computed by the public
-    enumerators and by ``cut_morphism``.
+    labels and is keyed by its entries alone. Every entry is computed by
+    the public enumerators.
     """
 
     def __init__(self):
         self.delta: dict[tuple, list[DeltaOpMorphism]] = {}
         self.cuts: dict[tuple, list[GraphMorphism]] = {}
-        self.cut_of: dict[tuple, GraphMorphism] = {}
-
-    def cut(self, m: DeltaOpMorphism) -> GraphMorphism:
-        key = (m.source.chain, m.target.chain, m.underlying)
-        if key not in self.cut_of:
-            self.cut_of[key] = cut_morphism(m)
-        return self.cut_of[key]
 
     def delta_homs(self, a: LabeledSimplex, b: LabeledSimplex):
         key = (a.chain, b.chain)
@@ -369,7 +368,7 @@ def _check_cartesian_lifts(simplices, graph_pool) -> Check:
             source, lift = cartesian_lift(y, phi)
             order = [e for fib in phi.fibers for e in fib]
             if order == sorted(order):
-                if cache.cut(lift) != phi:
+                if cut_morphism(lift) != phi:
                     return Check(
                         "cartesian-lifts", False, f"{y.chain}: lift does not cut back to the input"
                     )
@@ -399,7 +398,7 @@ def _check_universal(simplices, y, xbar, lift, cache: _HomCache) -> Check | None
     psis the scan would accept, in the same order, and each count is the
     number of matches the scan would find for (h0, psi).
     """
-    cut_lift = cache.cut(lift)
+    cut_lift = cut_morphism(lift)
     for z in simplices:
         try:
             psis = cache.cut_homs(z, xbar)
@@ -414,10 +413,10 @@ def _check_universal(simplices, y, xbar, lift, cache: _HomCache) -> Check | None
         factorizations: Counter[tuple] = Counter()
         for h in cache.delta_homs(z, xbar):
             through = compose_delta(h, lift)
-            cut_h = cache.cut(h)
+            cut_h = cut_morphism(h)
             factorizations[through.underlying, cut_h.edge_map, cut_h.fibers] += 1
         for h0 in cache.delta_homs(z, y):
-            cut_h0 = cache.cut(h0)
+            cut_h0 = cut_morphism(h0)
             for edge_map, fibers in by_composite.get((cut_h0.edge_map, cut_h0.fibers), ()):
                 count = factorizations[h0.underlying, edge_map, fibers]
                 if count != 1:

@@ -165,16 +165,35 @@ def test_criterion_2_strong_approximation():
                         if classify_graph_morphism(cm) in (MapClass.ACTIVE, MapClass.BOTH):
                             assert cartesian_lift(b, cm) == (a, m)
                             lifted += 1
-        rep_ = check_approximation(labelset("a"), 4)
-        assert rep_.ok, rep_.first_failure()
-        assert [c.witness for c in rep_.checks] == [
-            "5 chains",
-            "1609 active morphisms lifted",
-            "1 labels; 1 single-edge graphs",
-            "456 chain morphisms",
-        ]
+        larger = {
+            (("a",), 4): [
+                "5 chains",
+                "1609 active morphisms lifted",
+                "1 labels; 1 single-edge graphs",
+                "456 chain morphisms",
+            ],
+            (("a", "b"), 4): [
+                "62 chains",
+                "46738 active morphisms lifted",
+                "2 labels; 4 single-edge graphs",
+                "10562 chain morphisms",
+            ],
+            (("a", "b", "c"), 3): [
+                "120 chains",
+                "7896 active morphisms lifted",
+                "3 labels; 9 single-edge graphs",
+                "6645 chain morphisms",
+            ],
+        }
+        for (names, max_dim), witnesses in larger.items():
+            rep_ = check_approximation(labelset(*names), max_dim)
+            assert rep_.ok, rep_.first_failure()
+            assert [c.witness for c in rep_.checks] == witnesses
         assert lifted == 387
-        return f"{lifted} exact lift round-trips; {{a}} at max_dim 4: 1609 active morphisms lifted"
+        return (
+            f"{lifted} exact lift round-trips; {{a}} at max_dim 4: 1609 active morphisms lifted; "
+            "{a,b} at 4: 46738; {a,b,c} at 3: 7896"
+        )
 
     _report(2, "strong approximation", 30, body)
 

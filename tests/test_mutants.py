@@ -1,5 +1,6 @@
 """The mutant generator of tools/mutants.py, without running any tests."""
 import importlib.util
+import json
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -45,3 +46,19 @@ def test_every_mutant_of_a_module_parses():
     assert found
     for m in found:
         compile(m.source, "quantale.py", "exec")
+
+
+def test_every_listed_equivalent_mutant_is_one_generated_mutant():
+    # an entry whose line or change no longer matches would hide nothing
+    # and silently stop listing its mutant; the census deselects this test,
+    # which fails on each listed mutant
+    this = test_every_listed_equivalent_mutant_is_one_generated_mutant
+    assert mutants.LIST_TEST == f"tests/test_mutants.py::{this.__name__}"
+    root = Path(__file__).resolve().parents[1]
+    listed = mutants.equivalent_mutants()
+    assert listed and len(listed) == len(json.loads(mutants.EQUIVALENT.read_text()))
+    for (module, line, change), reason in listed.items():
+        source = (root / module).read_text()
+        lines = source.splitlines()
+        hits = [m for m in mutants.mutants(source) if mutants.mutant_key(module, lines, m) == (module, line, change)]
+        assert len(hits) == 1 and reason, (module, line, change)

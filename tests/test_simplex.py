@@ -34,7 +34,7 @@ from oplab.simplex import (
     lcut_morphism,
     structural_inert,
 )
-from oplab.report import Check, failing
+from oplab.report import Check, failing, read_once
 
 S = labelset("a", "b")
 
@@ -499,6 +499,18 @@ def test_approximation_reports_rejected_candidate(monkeypatch, rejects, check):
 # Each distinct lift is decided once; the per-phi loop is the reference.
 
 
+@pytest.mark.parametrize(
+    "labels, witnesses",
+    [
+        (("a",), ["3 chains", "14 active morphisms lifted", "1 labels; 1 single-edge graphs", "31 chain morphisms"]),
+        (("a", "b"), ["14 chains", "82 active morphisms lifted", "2 labels; 4 single-edge graphs", "194 chain morphisms"]),
+    ],
+)
+def test_approximation_counts_at_max_dim_two(labels, witnesses):
+    rep = check_approximation(labelset(*labels), 2)
+    assert rep.ok and [c.witness for c in rep.checks] == witnesses
+
+
 def _per_phi_check_cartesian_lifts(simplices, graph_pool):
     """Reference: decide the universal property again for every active phi."""
     lifts = 0
@@ -561,3 +573,104 @@ def test_each_chain_builds_each_path_graph_once(monkeypatch):
     monkeypatch.setattr(simplex, "path_graph", counting)
     assert check_approximation(S, 2).ok
     assert built and max(built.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Path images, structural inerts and chain pools are built once per object;
+# the memo-free build is the reference.
+
+
+def _rebuild_on_every_read(m):
+    """Path images and structural inerts rebuilt on every read (their
+    read_once memos become properties), and a fresh chain-pool memo for
+    every enumeration."""
+    for cls, name in ((DeltaOpMorphism, "_cut"), (LabeledSimplex, "_structural_inert")):
+        m.setattr(cls, name, property(vars(cls)[name].func))
+    m.setattr(Graph, "_chain_pools", property(lambda self: {}))
+
+
+def _assert_matches_memo_free(monkeypatch):
+    for labels, bound in ((labelset("a"), 4), (S, 3)):
+        for max_dim in range(bound + 1):
+            shipped = check_approximation(labels, max_dim)
+            with monkeypatch.context() as m:
+                _rebuild_on_every_read(m)
+                x = LabeledSimplex(labels, ("a", "a"))
+                assert cut_morphism(identity_delta(x)) is not cut_morphism(identity_delta(x))
+                assert structural_inert(x) is not structural_inert(x)
+                reference = check_approximation(labels, max_dim)
+            assert shipped == reference, (labels, max_dim)
+
+
+@pytest.mark.parametrize("defect", [None, *DEFECTS])
+def test_memos_match_memo_free_build(monkeypatch, defect):
+    if defect is not None:
+        DEFECTS[defect][0](monkeypatch)
+    _assert_matches_memo_free(monkeypatch)
+
+
+@pytest.mark.parametrize("rejects", [_reject_contraction_next_to_a_fiber, _reject_contraction_onto_one_edge])
+def test_memos_match_memo_free_build_under_rejected_candidates(monkeypatch, rejects):
+    validate = graphs._validate_indices
+
+    def defective(src_edges, tgt_edges, edge_map, fibers):
+        if rejects(tgt_edges, fibers):
+            return failing("condition-two", "seeded defect")
+        return validate(src_edges, tgt_edges, edge_map, fibers)
+
+    monkeypatch.setattr(graphs, "_validate_indices", defective)
+    _assert_matches_memo_free(monkeypatch)
+
+
+@pytest.mark.parametrize("labels, max_dim, once, memo_free", [(("a",), 3, 8, 24), (("a", "b"), 2, 140, 630)])
+def test_each_graph_builds_each_chain_pool_once(monkeypatch, labels, max_dim, once, memo_free):
+    # count per source graph object (kept alive, so ids stay distinct) and
+    # target edge; enumerate_graph_morphisms two frames up holds the source
+    real = graphs._chain_pool
+    sources = []
+    built = Counter()
+
+    def counting(src_edges, s, t):
+        src = inspect.currentframe().f_back.f_back.f_locals["src"]
+        assert src.edges == src_edges
+        sources.append(src)
+        built[id(src), s, t] += 1
+        return real(src_edges, s, t)
+
+    monkeypatch.setattr(graphs, "_chain_pool", counting)
+    assert check_approximation(labelset(*labels), max_dim).ok
+    assert max(built.values()) == 1 and sum(built.values()) == once
+    built.clear()
+    with monkeypatch.context() as m:
+        _rebuild_on_every_read(m)
+        assert check_approximation(labelset(*labels), max_dim).ok
+    assert sum(built.values()) == memo_free
+
+
+def test_each_chain_morphism_builds_its_path_image_once():
+    chains = enumerate_simplices(S, 3)
+    for a in chains:
+        for b in chains:
+            for m in enumerate_delta_morphisms(a, b):
+                cut = cut_morphism(m)
+                assert cut_morphism(m) is cut
+                assert lcut_morphism(m, 1, 1).fibers is cut.fibers
+                # an equal morphism built apart has its own, equal, image
+                assert cut_morphism(DeltaOpMorphism(a, b, m.underlying)) == cut
+
+
+def test_each_chain_builds_its_structural_inert_once(monkeypatch):
+    # count per chain object (kept alive, so ids stay distinct)
+    build = vars(LabeledSimplex)["_structural_inert"].func
+    owners = []
+    built = Counter()
+
+    def _structural_inert(self):
+        owners.append(self)
+        built[id(self)] += 1
+        return build(self)
+
+    monkeypatch.setattr(LabeledSimplex, "_structural_inert", read_once(_structural_inert))
+    assert check_approximation(S, 2).ok
+    # every one of the 14 chains is a source and a target in lcut-marking
+    assert len(built) == 14 and max(built.values()) == 1

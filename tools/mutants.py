@@ -17,8 +17,15 @@ The repository is copied once into a temporary directory. Each mutant is
 written over the module in the copy, and the selection runs there with
 ``pytest -x``; a run that takes ten times the clean run (plus 10 s) counts as
 killed. A mutant that passes the selection survives and is printed with its
-line and change. The exit code is 0 when no mutant survives, 1 when some do,
-and 2 when the selection fails on the unmutated module.
+line and change. A survivor listed in ``tools/equivalent_mutants.json`` is
+printed as equivalent, with its reason: such a mutant cannot change what the
+module computes, so no test can kill it. Entries are keyed by module, the
+text of the mutated line in the unmutated source (stripped) and the change,
+so they outlive edits elsewhere in the module. The selection runs without
+the test that checks the list against the source (``LIST_TEST``), which
+fails on exactly the listed mutants. The exit code is 0 when no
+unlisted mutant survives, 1 when some do, and 2 when the selection fails on
+the unmutated module.
 
 The script is a development tool: it uses only the standard library, and
 tier-1 does not collect it.
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import json
 import os
 import shutil
 import subprocess
@@ -37,6 +45,8 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+EQUIVALENT = Path(__file__).resolve().with_name("equivalent_mutants.json")
+LIST_TEST = "tests/test_mutants.py::test_every_listed_equivalent_mutant_is_one_generated_mutant"
 
 _SYMBOLS = {
     ast.Lt: "<",
@@ -106,18 +116,34 @@ def mutants(source: str) -> Iterator[Mutant]:
         yield Mutant(node.lineno, change, text.decode())
 
 
+def equivalent_mutants() -> dict[tuple[str, str, str], str]:
+    """The listed equivalent mutants: (module, line text, change) -> reason."""
+    return {(e["module"], e["line"], e["change"]): e["reason"] for e in json.loads(EQUIVALENT.read_text())}
+
+
+def mutant_key(module: str, lines: list[str], mutant: Mutant) -> tuple[str, str, str]:
+    """A mutant's key in the equivalent list; `lines` are the unmutated
+    source's and `module` its path relative to the repository."""
+    return module, lines[mutant.line - 1].strip(), mutant.change
+
+
 def survivors(module: Path, selection: list[str]) -> list[Mutant]:
-    """The mutants of `module` (a file under the repository) that pass the
-    pytest `selection`, printed as they are found."""
+    """The unlisted mutants of `module` (a file under the repository) that
+    pass the pytest `selection`, printed as they are found; listed ones are
+    printed as equivalent."""
     relative = module.resolve().relative_to(ROOT)
     source = module.read_text()
+    lines = source.splitlines()
+    listed = equivalent_mutants()
     found = []
+    equivalent = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp) / "repo"
         ignored = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_out")
         shutil.copytree(ROOT, work, ignore=ignored)
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        command += ["--deselect", LIST_TEST, *selection]
 
         def passes(timeout: float | None) -> bool:
             try:
@@ -138,9 +164,15 @@ def survivors(module: Path, selection: list[str]) -> list[Mutant]:
             total += 1
             (work / relative).write_text(mutant.source)
             if passes(timeout):
-                found.append(mutant)
-                print(f"survived: {relative}:{mutant.line}: {mutant.change}", flush=True)
-        print(f"{relative}: {total} mutants, {total - len(found)} killed, {len(found)} survived")
+                reason = listed.get(mutant_key(relative.as_posix(), lines, mutant))
+                if reason is None:
+                    found.append(mutant)
+                    print(f"survived: {relative}:{mutant.line}: {mutant.change}", flush=True)
+                else:
+                    equivalent += 1
+                    print(f"equivalent: {relative}:{mutant.line}: {mutant.change} ({reason})", flush=True)
+        killed = total - len(found) - equivalent
+        print(f"{relative}: {total} mutants, {killed} killed, {len(found)} survived, {equivalent} equivalent")
     return found
 
 
