@@ -513,7 +513,7 @@ def _extend_picks(picks, pool: dict, factors: dict | None = None) -> list:
     return out
 
 
-def _morphism_candidates(src_edges, tgt_edges, pools: dict | None = None):
+def _morphism_candidates(src_edges, tgt_edges, pools: dict):
     """Yield every (edge_map, fibers) whose fibers are disjoint paths.
 
     Each target edge picks a mask of source edges from its chain pool, the
@@ -522,7 +522,6 @@ def _morphism_candidates(src_edges, tgt_edges, pools: dict | None = None):
     are exactly the morphisms whose every fiber passes _chain_ok; callers
     validate them whole. A missing pool is built into `pools`, by target edge.
     """
-    pools = {} if pools is None else pools
     picks = [(0, (None,) * len(src_edges), (), None)]
     for edge in tgt_edges:
         if edge not in pools:
@@ -608,63 +607,53 @@ def enumerate_objects(tag: OperadTag, labels: LabelSet, max_edges: int) -> list[
 # Operad axiom checking.
 
 
-def _orbit_sources(objects: list[Graph], alphabet, reduced: bool) -> list[tuple[Graph, int]]:
-    """The objects a walk visits, each with the number of sorted objects in
-    its orbit: unreduced, every object as its own orbit.
+def _orbits(objects: list[Graph], alphabet) -> tuple[list[tuple[Graph, int]], Counter]:
+    """The orbits of objects under edge orders and base-label renamings
+    (STAR fixed), counted in one pass over objects.
 
-    Reduced, one object per orbit of edge orders and permutations of the
-    base labels (STAR stays fixed): the one whose tuple of alphabet ranks is
-    least. A rank grows with the label index of each endpoint, and STAR
-    comes last, so that object uses exactly the first k base labels, k the
-    number it uses, and no permutation of those k gives a smaller sorted
-    tuple; only those k! are tried. Its orbit counts its sorted images
-    under the injections of those k labels into the base labels that
-    objects holds.
+    Returns the first member of each orbit in objects order, with the number
+    of objects in its orbit, and for each edge tuple sorted by alphabet rank
+    the number of objects that sort to it. An orbit is keyed by a canonical
+    form, memoized per sorted tuple: the least sorted rank tuple over the k!
+    renamings of the k base labels the tuple uses onto the first k. Renaming
+    a tuple's labels only reorders those renamings, so its whole orbit
+    shares the form.
     """
-    if not reduced:
-        return [(g, 1) for g in objects]
     rank = {ep: r for r, ep in enumerate(alphabet)}
     labels = tuple(dict.fromkeys(v for ep in alphabet for v in ep if v != STAR))
-    present = {g.edges for g in objects}
-
-    def image(edges, names):
-        """edges with base label i renamed names[i], sorted by rank."""
-        to = dict(zip(labels, names))
-        to[STAR] = STAR
-        return tuple(sorted(((to[s], to[t]) for s, t in edges), key=rank.__getitem__))
-
-    out = []
+    canon = {}
+    first = {}
+    size = Counter()
+    weights = Counter()
     for g in objects:
-        used = {v for ep in g.edges for v in ep} - {STAR}
-        first = labels[: len(used)]
-        if used != set(first):
-            continue
-        ranks = [rank[ep] for ep in g.edges]
-        # the identity comes first and rejects every unsorted tuple
-        if all(ranks <= [rank[ep] for ep in image(g.edges, names)] for names in itertools.permutations(first)):
-            orbit = {image(g.edges, names) for names in itertools.permutations(labels, len(first))}
-            out.append((g, len(orbit & present)))
-    return out
+        key = tuple(sorted(g.edges, key=rank.__getitem__))
+        if key not in canon:
+            used = {v for ep in key for v in ep} - {STAR}
+            renamings = (dict(zip(used, names)) for names in itertools.permutations(labels[: len(used)]))
+            canon[key] = min(tuple(sorted(rank[to.get(s, s), to.get(t, t)] for s, t in key)) for to in renamings)
+        first.setdefault(canon[key], g)
+        size[canon[key]] += 1
+        weights[key] += 1
+    return [(g, size[form]) for form, g in first.items()], weights
 
 
-def _by_orbit(walk, objects: list[Graph], alphabet, sources) -> Check:
-    """Decide walk once per orbit of edge orders and base-label permutations,
-    over `sources` when the caller has built the reduced _orbit_sources.
-    When the reduced walk fails, the full walk runs to report the witness
-    the full objects order defines."""
-    check = walk(objects, alphabet, reduced=True, sources=sources)
-    return check if check.ok else walk(objects, alphabet, reduced=False)
-
-
-def _inert_walk(objects: list[Graph], alphabet, reduced: bool, sources=None) -> Check:
+def _inert_walk(objects: list[Graph], sources) -> Check:
     """Every inert base map out of <n> has exactly one lift, and it is inert.
 
     The lifts are those of enumerate_inert_from. Distinct inert maps out of
     <n> number sum_m n!/(n-m)!, so distinct underlying maps in that number
     cover each exactly once.
+
+    Only the sources of _orbits are decided, one per orbit. Permuting a
+    source's edges is an isomorphism of objects. It carries the source's
+    inert lifts onto the permuted source's, keeps each lift's validity and
+    class, and permutes the base maps bijectively, so their count and
+    distinctness are the same at every edge order. Renaming the base labels
+    keeps each lift's index data, and validation and class only compare
+    endpoint names for equality. So the failing objects form whole orbits,
+    and the first failing source is the first failing object in objects
+    order; its witness is reported as found.
     """
-    if sources is None:
-        sources = _orbit_sources(objects, alphabet, reduced)
     for g, _ in sources:
         n = len(g.edges)
         bases: set[tuple[int, ...]] = set()
@@ -684,20 +673,6 @@ def _inert_walk(objects: list[Graph], alphabet, reduced: bool, sources=None) -> 
             witness = f"{g.edges}: lifts cover {len(bases)} of {want} inert base maps"
             return Check("inert-lifts", False, witness)
     return Check("inert-lifts", True, f"{len(objects)} objects")
-
-
-def _check_inert_lifts(objects: list[Graph], alphabet, sources=None) -> Check:
-    """Inert lifts, decided once per orbit of edge orders and base-label
-    permutations.
-
-    Permuting a source's edges is an isomorphism of objects. It carries the
-    source's inert lifts onto the permuted source's, keeps each lift's
-    validity and class, and permutes the base maps bijectively, so their
-    count and distinctness are the same at every edge order of an orbit.
-    Renaming the base labels keeps each lift's index data, and validation
-    and class only compare endpoint names for equality.
-    """
-    return _by_orbit(_inert_walk, objects, alphabet, sources)
 
 
 def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Check:
@@ -723,100 +698,97 @@ def _validated_count(src_edges, tgt_edges, edge_map, orders) -> int:
     )
 
 
-def _orderings(edges) -> int:
-    """The number of distinct orderings of an edge tuple (a multinomial)."""
-    out = math.factorial(len(edges))
-    for count in Counter(edges).values():
-        out //= math.factorial(count)
-    return out
+def _target_trie(targets) -> dict:
+    """The target edge tuples as nested dicts, one level per edge; the node
+    at which a target ends holds it under the key None."""
+    trie = {}
+    for edges in targets:
+        node = trie
+        for ep in edges:
+            node = node.setdefault(ep, {})
+        node[None] = edges
+    return trie
 
 
-def _segal_walk(objects: list[Graph], alphabet, reduced: bool, sources=None) -> Check:
-    """Compare whole-morphism counts with products of single-edge counts.
+def _segal_source(src_edges, trie) -> tuple[list, list]:
+    """Compare whole-morphism counts with products of single-edge counts
+    out of one source, at each target edge tuple of trie (_target_trie).
 
-    For each source, a depth-first walk over the trie of target edge tuples
-    extends the picks of a target's prefix by its last edge. Every candidate
-    of every target is validated whole and counted per edge map, that is per
-    pick. A pick's product multiplies, over its target edges, the validated
-    count into that single edge at the mask it picked; those factors are
-    settled before the walk. A single-edge target's whole count is its
-    factor, so the walk does not validate its candidates again: each is
-    validated once per source. A nonzero product needs pairwise disjoint
-    masks that each have a path order, so the walk reaches its edge map. A
-    mismatch is reported at the first failing source, at its first failing
-    target in objects order, at the least base map in lexicographic order.
-
-    Reduced, the walk visits one source per orbit of edge orders and
-    base-label permutations (_orbit_sources), and extends a target only by
-    edges of rank at least its last one. Sorted tuples are closed under
-    prefixes, so the trie stays a trie. Targets are not reduced by labels:
-    one permutation acts on source and target together, and every target
-    is visited for each source. Each visited pair counts as the number of
-    distinct orderings of its source times its orbit, times the number of
-    distinct orderings of its target.
+    A depth-first walk over the trie extends the picks of a target's prefix
+    by its last edge. Every candidate of every target is validated whole
+    and counted per edge map, that is per pick. A pick's product
+    multiplies, over its target edges, the validated count into that single
+    edge at the mask it picked; those factors are settled once per edge, on
+    its first visit. A single-edge target's whole count is its factor, so
+    its candidates are not validated again. A nonzero product needs
+    pairwise disjoint masks that each have a path order, so the walk
+    reaches its edge map. Returns the targets compared and the (target,
+    base map, whole, product) mismatches.
     """
-    if sources is None:
-        sources = _orbit_sources(objects, alphabet, reduced)
-    # position in objects and pair weight of each target, by its edge tuple
-    index = {g.edges: (k, _orderings(g.edges) if reduced else 1) for k, g in enumerate(objects)}
-    depth = max(map(len, index))
-    pairs_checked = 0
-    for src, orbit in sources:
-        root = (0, (None,) * len(src.edges), (), 1)
-        src_weight = index[src.edges][1] * orbit
-        edge_pools = [_chain_pool(src.edges, s, t) for s, t in alphabet]
-        factors = []
-        if depth:
-            for ep, pool in zip(alphabet, edge_pools):
-                factors.append({
-                    mask: _validated_count(src.edges, (ep,), edge_map, orders)
-                    for mask, edge_map, orders, _ in _extend_picks([root], pool)
-                })
-        extensions = list(enumerate(zip(alphabet, edge_pools, factors)))
-        first = None  # the least (position in objects, base map, whole, product) mismatch
+    root = (0, (None,) * len(src_edges), (), 1)
+    pools = {}
+    factors = {}
+    compared = []
+    mismatches = []
 
-        def visit(edges, picks, lowest):
-            nonlocal first, pairs_checked
-            target = index.get(edges)
-            # a target objects lacks is neither compared nor counted, but
-            # its extensions are still visited
-            if target is not None:
-                k, weight = target
-                if len(edges) != 1:
-                    for _, edge_map, orders, product in picks:
-                        whole = _validated_count(src.edges, edges, edge_map, orders)
-                        if whole != product:
-                            bad = (k, _base_map(edge_map), whole, product)
-                            first = bad if first is None else min(first, bad)
-                pairs_checked += src_weight * weight
-            if len(edges) < depth:
-                for r, (ep, pool, edge_factors) in extensions[lowest:]:
-                    visit(edges + (ep,), _extend_picks(picks, pool, edge_factors), r if reduced else 0)
+    def visit(node, picks):
+        edges = node.get(None)
+        if edges is not None:
+            compared.append(edges)
+            if len(edges) != 1:
+                for _, edge_map, orders, product in picks:
+                    whole = _validated_count(src_edges, edges, edge_map, orders)
+                    if whole != product:
+                        mismatches.append((edges, _base_map(edge_map), whole, product))
+        for ep, child in node.items():
+            if ep is not None:
+                if ep not in factors:
+                    pools[ep] = pool = _chain_pool(src_edges, *ep)
+                    factors[ep] = {
+                        mask: _validated_count(src_edges, (ep,), edge_map, orders)
+                        for mask, edge_map, orders, _ in _extend_picks([root], pool)
+                    }
+                visit(child, _extend_picks(picks, pools[ep], factors[ep]))
 
-        visit((), [root], 0)
-        if first is not None:
-            k, base, whole, product = first
-            return Check(
-                "segal-morphisms",
-                False,
-                f"{src.edges} -> {objects[k].edges} over {base}: {whole} whole vs product {product}",
-            )
-    return Check("segal-morphisms", True, f"{pairs_checked} source/target pairs")
+    visit(trie, [root])
+    return compared, mismatches
 
 
-def _check_segal_morphisms(objects: list[Graph], alphabet, sources=None) -> Check:
-    """The Segal condition on morphisms, decided once per orbit of edge
-    orders and base-label permutations.
+def _segal_walk(objects: list[Graph], sources, weights) -> Check:
+    """The Segal condition on morphisms (_segal_source), decided at the
+    sources of _orbits and the sorted targets that weights counts.
 
     Permuting a source's or a target's edges carries _validate_indices'
     accepted set onto itself, and so permutes the whole counts and the
     single-edge factors per base map without changing them. Renaming the
     base labels of source and target together keeps the accepted set, as
-    _validate_indices only compares endpoint names for equality. The
-    reduced walk therefore reaches the verdict of the full one, and its
-    orbit and multinomial weights make the pair count the full count.
+    _validate_indices only compares endpoint names for equality. So one
+    source per orbit and one target per edge order decide every pair, and
+    each visited pair counts as the objects in its source's orbit times the
+    objects that sort to its target, so the pair count counts every pair of
+    objects decided.
+
+    The failing sources form whole orbits, so the first one in objects
+    order is the first member of the first failing orbit. That one source
+    is walked again over every target in objects, and the mismatch is
+    reported at its first failing target in objects order, at the least
+    base map.
     """
-    return _by_orbit(_segal_walk, objects, alphabet, sources)
+    trie = _target_trie(weights)
+    pairs = 0
+    for src, size in sources:
+        compared, mismatches = _segal_source(src.edges, trie)
+        if mismatches:
+            position = {g.edges: k for k, g in enumerate(objects)}
+            _, mismatches = _segal_source(src.edges, _target_trie(position))
+            k, base, whole, product = min((position[edges], *rest) for edges, *rest in mismatches)
+            return Check(
+                "segal-morphisms",
+                False,
+                f"{src.edges} -> {objects[k].edges} over {base}: {whole} whole vs product {product}",
+            )
+        pairs += size * sum(map(weights.__getitem__, compared))
+    return Check("segal-morphisms", True, f"{pairs} source/target pairs")
 
 
 def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> ValidationReport:
@@ -829,10 +801,13 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
         the target; one search and one validator decide both sides.
 
     (1) and (3) visit one source per orbit of edge orders and base-label
-    permutations: the sorted one that uses a prefix of the base labels and
-    has the least alphabet ranks. Both symmetries carry the conditions
-    along, and a failure is reported at the first failing object in objects
-    order.
+    permutations, its first member in objects order, and (3) compares each
+    with one target per edge order, sorted by alphabet rank. Both symmetries
+    carry the conditions along, so a failure is reported at the first
+    failing object in objects order, and by (3) at that source's first
+    failing target in objects order. The pair count of (3) weighs each
+    visited pair by the objects counted in its source's orbit and sorting
+    to its target, so it counts every pair of objects.
 
     A negative bound raises InvalidBound, and objects past OBJECT_BOUND or
     OBJECT_EDGE_BOUND raise SizeBoundExceeded, before any is built.
@@ -842,10 +817,10 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
     alphabet = allowed_edges(tag, labels)
     _require_enumerable(len(alphabet), max_edges)
     objects = enumerate_objects(tag, labels, max_edges)
-    sources = _orbit_sources(objects, alphabet, reduced=True)
+    sources, weights = _orbits(objects, alphabet)
     checks = (
-        _check_inert_lifts(objects, alphabet, sources),
+        _inert_walk(objects, sources),
         _check_segal_objects(objects, alphabet, max_edges),
-        _check_segal_morphisms(objects, alphabet, sources),
+        _segal_walk(objects, sources, weights),
     )
     return ValidationReport(checks)

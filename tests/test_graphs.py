@@ -813,7 +813,7 @@ def test_segal_witness_is_first_failing_target_in_objects_order(monkeypatch):
 
     monkeypatch.setattr(graphs, "_validate_indices", defective)
     objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 3)
-    assert graphs._check_segal_morphisms(objects, alphabet) == Check(
+    assert _segal_check(objects, alphabet) == Check(
         "segal-morphisms", False, "() -> (('b', 'b'), ('b', 'b')) over (): 0 whole vs product 1"
     )
 
@@ -990,18 +990,50 @@ def _segal_inputs(tag, names, max_edges):
     return enumerate_objects(tag, labels, max_edges), allowed_edges(tag, labels)
 
 
+def _inert_check(objects, alphabet):
+    """inert-lifts as check_operad_axioms decides it: once per orbit."""
+    return graphs._inert_walk(objects, graphs._orbits(objects, alphabet)[0])
+
+
+def _segal_check(objects, alphabet):
+    """segal-morphisms as check_operad_axioms decides it: once per orbit."""
+    return graphs._segal_walk(objects, *graphs._orbits(objects, alphabet))
+
+
+def _full_inert_walk(objects):
+    """The inert walk with every object its own source."""
+    return graphs._inert_walk(objects, [(g, 1) for g in objects])
+
+
+def _full_segal_walk(objects):
+    """The segal walk over every source and every target, from the shipped
+    per-source step: the first failing source in objects order, at its first
+    failing target in objects order."""
+    position = {g.edges: k for k, g in enumerate(objects)}
+    trie = graphs._target_trie(position)
+    pairs = 0
+    for src in objects:
+        compared, mismatches = graphs._segal_source(src.edges, trie)
+        if mismatches:
+            k, base, whole, product = min((position[edges], *rest) for edges, *rest in mismatches)
+            witness = f"{src.edges} -> {objects[k].edges} over {base}: {whole} whole vs product {product}"
+            return Check("segal-morphisms", False, witness)
+        pairs += len(compared)
+    return Check("segal-morphisms", True, f"{pairs} source/target pairs")
+
+
 def test_segal_search_matches_reference(monkeypatch):
     for tag in OperadTag:
         for names, max_edges in ((("a",), 3), (("a", "b"), 2)):
             objects, alphabet = _segal_inputs(tag, names, max_edges)
-            got = graphs._check_segal_morphisms(objects, alphabet)
+            got = _segal_check(objects, alphabet)
             assert got.ok, (tag, names, got)
             assert got == _reference_check_segal_morphisms(objects, alphabet), (tag, names)
     # the reference never validates a whole morphism, so it misses the defect
     monkeypatch.setattr(graphs, "_validate_indices", _cross_fiber_defect(graphs._validate_indices))
     objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a",), 3)
     assert _reference_check_segal_morphisms(objects, alphabet).ok
-    assert not graphs._check_segal_morphisms(objects, alphabet).ok
+    assert not _segal_check(objects, alphabet).ok
 
 
 def _reference_validate_morphism(m):
@@ -1178,14 +1210,14 @@ def test_equivariance_sees_an_order_dependent_defect(monkeypatch):
 
 @pytest.mark.parametrize("defect", [None, _cross_fiber_defect, _single_edge_defect])
 def test_orbit_walk_matches_full_walk(monkeypatch, defect):
-    # the shipped check gives the unreduced walk's Check, witness included
+    # the shipped walk gives the full walk's Check, witness included
     if defect is not None:
         monkeypatch.setattr(graphs, "_validate_indices", defect(graphs._validate_indices))
     for tag in OperadTag:
         for names, max_edges in ((("a",), 3), (("a", "b"), 2), (("a", "b"), 3)):
             objects, alphabet = _segal_inputs(tag, names, max_edges)
-            got = graphs._check_segal_morphisms(objects, alphabet)
-            assert got == graphs._segal_walk(objects, alphabet, reduced=False), (tag, names, max_edges)
+            got = _segal_check(objects, alphabet)
+            assert got == _full_segal_walk(objects), (tag, names, max_edges)
 
 
 def _lift_records(g):
@@ -1255,12 +1287,12 @@ def _drop_at_unsorted(enumerate_inert, alphabet):
 
 
 def test_inert_equivariance_sees_an_order_dependent_defect(monkeypatch):
-    # a defect only unsorted sources show escapes the reduced walk; the
+    # a defect only unsorted sources show escapes the orbit walk; the
     # equivariance proof is what rules it out
     objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 2)
     monkeypatch.setattr(graphs, "enumerate_inert_from", _drop_at_unsorted(graphs.enumerate_inert_from, alphabet))
-    assert graphs._check_inert_lifts(objects, alphabet) == Check("inert-lifts", True, "21 objects")
-    assert graphs._inert_walk(objects, alphabet, reduced=False) == Check(
+    assert _inert_check(objects, alphabet) == Check("inert-lifts", True, "21 objects")
+    assert _full_inert_walk(objects) == Check(
         "inert-lifts", False, "(('a', 'b'), ('a', 'a')): lifts cover 4 of 5 inert base maps"
     )
     assert _first_non_equivariant_lifts(objects) == ((("a", "a"), ("a", "b")), (1, 0))
@@ -1279,9 +1311,11 @@ def _shape(edge):
 
 def _drop_at_unsorted_or_last_kind(enumerate_inert, alphabet):
     """enumerate_inert_from that drops its last lift at an unsorted source and
-    at one of two or more edges all shaped like the alphabet's last kind, so
-    the reduced walk fails at a later object than the full one. The shape
-    is label-invariant, so the reduced walk still meets a hit source."""
+    at one of two or more edges all shaped like the alphabet's last kind. It
+    is not equivariant, so the first failing object in objects order can be
+    an unsorted one before every hit orbit's first member, where the orbit
+    walk fails. The shape is label-invariant, so the orbit walk still meets
+    a hit source."""
     unsorted = _unsorted(alphabet)
     last = _shape(alphabet[-1])
 
@@ -1291,6 +1325,16 @@ def _drop_at_unsorted_or_last_kind(enumerate_inert, alphabet):
         return lifts[:-1] if hit else lifts
 
     return defective
+
+
+# the first member, in objects order, of the first orbit that
+# _drop_at_unsorted_or_last_kind hits, by tag
+_FIRST_HIT_ORBIT = {
+    OperadTag.ASSOC: (("a", "a"), ("a", "a")),
+    OperadTag.ASSOC_POINTED: ((STAR, STAR), (STAR, STAR)),
+    OperadTag.LM: (("a", STAR), ("a", STAR)),
+    OperadTag.RM: ((STAR, "a"), (STAR, "a")),
+}
 
 
 def _permuted_target_defect(validate, alphabet):
@@ -1322,15 +1366,21 @@ def _swap_is_neither(classify, alphabet):
     ],
 )
 def test_inert_orbit_walk_matches_full_walk(monkeypatch, name, defect):
-    # the shipped check gives the unreduced walk's Check, witness included
+    # the shipped walk gives the full walk's Check, witness included, for
+    # every equivariant defect; for the one that is not, the first member of
+    # the first failing orbit, which only for assoc is the full walk's witness
     original = getattr(graphs, name) if name else None
     for tag in OperadTag:
         for names, max_edges in ((("a",), 3), (("a", "b"), 2), (("a", "b"), 3)):
             objects, alphabet = _segal_inputs(tag, names, max_edges)
             if defect is not None:
                 monkeypatch.setattr(graphs, name, defect(original, alphabet))
-            got = graphs._check_inert_lifts(objects, alphabet)
-            assert got == graphs._inert_walk(objects, alphabet, reduced=False), (tag, names, max_edges)
+            got = _inert_check(objects, alphabet)
+            if defect is _drop_at_unsorted_or_last_kind:
+                witness = f"{_FIRST_HIT_ORBIT[tag]}: lifts cover 4 of 5 inert base maps"
+                assert got == Check("inert-lifts", False, witness), (tag, names, max_edges)
+            else:
+                assert got == _full_inert_walk(objects), (tag, names, max_edges)
             assert got.ok is (defect is None), (tag, names, max_edges, got)
 
 
@@ -1349,9 +1399,10 @@ def _renamings(names):
     return out
 
 
-def _reference_orbit_sources(objects, alphabet, names):
-    """The least sorted image of each sorted object over every renaming, and
-    the sorted objects sharing it, by brute force over all of them."""
+def _reference_orbits(objects, alphabet, names):
+    """Each orbit's first member with the objects in its orbit, and the
+    objects sorting to each sorted tuple, by brute force over every
+    renaming of every object."""
     rank = {ep: r for r, ep in enumerate(alphabet)}
 
     def ranked(edges):
@@ -1360,37 +1411,58 @@ def _reference_orbit_sources(objects, alphabet, names):
     def least(edges):
         return min((ranked(rename(edges)) for _, rename in _renamings(names)), key=lambda e: [rank[ep] for ep in e])
 
-    orbits = Counter(least(g.edges) for g in objects if ranked(g.edges) == g.edges)
-    return [(g, orbits[g.edges]) for g in objects if g.edges in orbits]
+    orbit = {g.edges: least(g.edges) for g in objects}
+    sizes = Counter(orbit.values())
+    first = {}
+    for g in objects:
+        first.setdefault(orbit[g.edges], g)
+    return [(g, sizes[o]) for o, g in first.items()], Counter(ranked(g.edges) for g in objects)
 
 
 @pytest.mark.parametrize("tag", list(OperadTag))
 def test_orbit_sources_match_brute_force(tag):
-    # one least representative per orbit, weighted by the sorted objects of
-    # its orbit that objects holds; dropping objects shrinks the weights
+    # one first member per orbit, weighted by the objects of its orbit that
+    # objects holds; dropping objects shrinks the weights
     for names, max_edges in ((("a", "b"), 3), (("a", "b", "c"), 2)):
         objects, alphabet = _segal_inputs(tag, names, max_edges)
         for kept in (objects, objects[:-1], objects[::2]):
-            got = graphs._orbit_sources(kept, alphabet, reduced=True)
-            assert got == _reference_orbit_sources(kept, alphabet, names), (tag, names, len(kept))
-        assert graphs._orbit_sources(objects, alphabet, reduced=False) == [(g, 1) for g in objects]
+            got = graphs._orbits(kept, alphabet)
+            assert got == _reference_orbits(kept, alphabet, names), (tag, names, len(kept))
+            assert sum(n for _, n in got[0]) == sum(got[1].values()) == len(kept)
 
 
 def test_operad_axioms_build_orbit_sources_once(monkeypatch):
-    # inert-lifts and segal-morphisms share one reduced source list; only a
-    # failing walk's full rerun builds the unreduced one
-    real = graphs._orbit_sources
+    # inert-lifts and segal-morphisms share one count of the orbits, and a
+    # failing check builds it no more often than a passing one
+    real = graphs._orbits
     built = []
 
-    def counting(objects, alphabet, reduced):
-        built.append(reduced)
-        return real(objects, alphabet, reduced)
+    def counting(objects, alphabet):
+        built.append(len(objects))
+        return real(objects, alphabet)
 
-    monkeypatch.setattr(graphs, "_orbit_sources", counting)
+    monkeypatch.setattr(graphs, "_orbits", counting)
     for tag in OperadTag:
         built.clear()
         assert check_operad_axioms(tag, S, 2).ok, tag
-        assert built == [True], tag
+        assert built == [len(enumerate_objects(tag, S, 2))], tag
+    monkeypatch.setattr(graphs, "_validate_indices", _single_edge_defect(graphs._validate_indices))
+    built.clear()
+    assert not check_operad_axioms(OperadTag.ASSOC, S, 2).ok
+    assert built == [21]
+
+
+def test_orbit_missing_its_least_member_is_visited_and_counted():
+    # without ((a,a),(a,a)) its orbit is visited through ((b,b),(b,b)), and
+    # the pair count counts the objects that objects holds
+    objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 2)
+    kept = [g for g in objects if g.edges != (("a", "a"), ("a", "a"))]
+    sources, _ = graphs._orbits(kept, alphabet)
+    assert (Graph(S, (("b", "b"), ("b", "b"))), 1) in sources
+    assert _segal_check(kept, alphabet) == _full_segal_walk(kept) == Check(
+        "segal-morphisms", True, "400 source/target pairs"
+    )
+    assert _inert_check(kept, alphabet) == _full_inert_walk(kept) == Check("inert-lifts", True, "20 objects")
 
 
 def _accepted_indices(src_edges, tgt_edges):
@@ -1398,7 +1470,7 @@ def _accepted_indices(src_edges, tgt_edges):
     _validate_indices accepts."""
     return frozenset(
         (edge_map, fibers)
-        for edge_map, fibers in graphs._morphism_candidates(src_edges, tgt_edges)
+        for edge_map, fibers in graphs._morphism_candidates(src_edges, tgt_edges, {})
         if graphs._validate_indices(src_edges, tgt_edges, edge_map, fibers).ok
     )
 
@@ -1441,7 +1513,7 @@ def test_morphisms_and_lifts_are_label_invariant(tag, names):
 def _last_label_source_defect(validate, last):
     """_validate_indices that also rejects every candidate into a target of
     two or more edges from a source whose first edge starts at the last base
-    label; no source the reduced walks visit starts there."""
+    label; no source the orbit walks visit starts there."""
 
     def defective(src_edges, tgt_edges, edge_map, fibers):
         if len(tgt_edges) >= 2 and src_edges and src_edges[0][0] == last:
@@ -1452,19 +1524,58 @@ def _last_label_source_defect(validate, last):
 
 
 def test_label_invariance_sees_a_label_dependent_defect(monkeypatch):
-    # a defect only sources the reduced walks skip show escapes them; the
+    # a defect only sources the orbit walks skip show escapes them; the
     # label-invariance proof is what rules it out
     monkeypatch.setattr(graphs, "_validate_indices", _last_label_source_defect(graphs._validate_indices, "b"))
     for tag in OperadTag:
         objects, alphabet = _segal_inputs(tag, ("a", "b"), 2)
-        assert graphs._segal_walk(objects, alphabet, reduced=True).ok, tag
-        assert graphs._inert_walk(objects, alphabet, reduced=True).ok, tag
+        assert _segal_check(objects, alphabet).ok, tag
+        assert _inert_check(objects, alphabet).ok, tag
     objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 2)
-    assert graphs._check_segal_morphisms(objects, alphabet) == Check("segal-morphisms", True, "441 source/target pairs")
-    assert graphs._segal_walk(objects, alphabet, reduced=False) == Check(
+    assert _segal_check(objects, alphabet) == Check("segal-morphisms", True, "441 source/target pairs")
+    assert _full_segal_walk(objects) == Check(
         "segal-morphisms", False, "(('b', 'a'),) -> (('a', 'a'), ('a', 'a')) over (0,): 0 whole vs product 1"
     )
     assert _first_label_asymmetry(objects, ("a", "b")) == ("accepted", (("a", "a"),), (("a", "a"), ("a", "a")), ("b", "a"))
+
+
+def _five_equal_edges_defect(validate):
+    """_validate_indices that also rejects every candidate out of a source of
+    five equal edges into a target of two or more edges that has a fiber of
+    two or more edges."""
+
+    def defective(src_edges, tgt_edges, edge_map, fibers):
+        if len(set(src_edges)) == 1 and len(src_edges) == 5 and len(tgt_edges) >= 2 and max(map(len, fibers)) >= 2:
+            return failing("condition-two", "seeded defect out of five equal edges")
+        return validate(src_edges, tgt_edges, edge_map, fibers)
+
+    return defective
+
+
+def test_segal_failure_at_the_enumeration_bound_walks_one_source_over_every_target(monkeypatch):
+    # lm {a,b} at <=5 edges, as criterion 1 decides it: the orbit walk finds
+    # the failing orbit, and only its first member is walked again, over every
+    # target, for the witness
+    monkeypatch.setattr(graphs, "_validate_indices", _five_equal_edges_defect(graphs._validate_indices))
+    step = graphs._segal_source
+    walked = []
+
+    def recording(src_edges, trie):
+        compared, mismatches = step(src_edges, trie)
+        walked.append((src_edges, len(compared)))
+        return compared, mismatches
+
+    monkeypatch.setattr(graphs, "_segal_source", recording)
+    rep = check_operad_axioms(OperadTag.LM, S, 5)
+    five = (("a", "a"),) * 5
+    assert rep.first_failure() == Check(
+        "segal-morphisms", False, f"{five} -> (('a', 'a'), ('a', 'a')) over (0, 0, 0, 1, 1): 0 whole vs product 2"
+    )
+    # the orbit walk fails at five over its sorted targets; walking five
+    # again is the only walk over every target
+    every = len(enumerate_objects(OperadTag.LM, S, 5))
+    assert walked[-2][0] == walked[-1][0] == five
+    assert [n for _, n in walked].count(every) == 1 and walked[-1][1] == every
 
 
 def test_many_labels_decided_without_all_permutations():
