@@ -300,11 +300,11 @@ def enumerate_delta_morphisms(a: LabeledSimplex, b: LabeledSimplex) -> list[Delt
     return [_unchecked(DeltaOpMorphism, source=a, target=b, underlying=g) for g in maps]
 
 
-def _check_inert_chain_lifts(simplices) -> Check:
-    for x in simplices:
+def _check_inert_chain_lifts(chains) -> Check:
+    for x in chains.values():
         n = x.dim()
         for i in range(1, n + 1):
-            sub = LabeledSimplex(x.labels, (x.chain[i - 1], x.chain[i]))
+            sub = chains[x.chain[i - 1 : i + 1]]
             lift = DeltaOpMorphism(x, sub, (i - 1, i))
             if classify_delta(lift) not in (DeltaClass.INERT, DeltaClass.TOTALLY_INERT):
                 return Check("inert-chain-lifts", False, f"{x.chain} at {i}")
@@ -316,7 +316,7 @@ def _check_inert_chain_lifts(simplices) -> Check:
             got = underlying_pointed(cut).images
             if got != want:
                 return Check("inert-chain-lifts", False, f"{x.chain} at {i} lies over {got}")
-    return Check("inert-chain-lifts", True, f"{len(simplices)} chains")
+    return Check("inert-chain-lifts", True, f"{len(chains)} chains")
 
 
 def _actives_into(graph_pool, y: LabeledSimplex) -> list[GraphMorphism]:
@@ -330,42 +330,21 @@ def _actives_into(graph_pool, y: LabeledSimplex) -> list[GraphMorphism]:
     ]
 
 
-class _HomCache:
-    """Memoized hom-sets between chains and between their path images.
-
-    One cache serves one approximation suite, so every chain has the same
-    labels and is keyed by its entries alone. Every entry is computed by
-    the public enumerators.
-    """
-
-    def __init__(self):
-        self.delta: dict[tuple, list[DeltaOpMorphism]] = {}
-        self.cuts: dict[tuple, list[GraphMorphism]] = {}
-
-    def delta_homs(self, a: LabeledSimplex, b: LabeledSimplex):
-        key = (a.chain, b.chain)
-        if key not in self.delta:
-            self.delta[key] = enumerate_delta_morphisms(a, b)
-        return self.delta[key]
-
-    def cut_homs(self, a: LabeledSimplex, b: LabeledSimplex):
-        key = (a.chain, b.chain)
-        if key not in self.cuts:
-            self.cuts[key] = enumerate_graph_morphisms(cut_object(a), cut_object(b))
-        return self.cuts[key]
-
-
-def _check_cartesian_lifts(simplices, graph_pool) -> Check:
+def _check_cartesian_lifts(chains, homs, graph_pool) -> Check:
     lifts = 0
-    cache = _HomCache()
+    cuts: dict[tuple, list[GraphMorphism]] = {}
     universal_ok: set[DeltaOpMorphism] = set()
-    for y in simplices:
+    for y in chains.values():
         try:
             actives = _actives_into(graph_pool, y)
         except InvalidCandidate as err:
             return Check("cartesian-lifts", False, f"{y.chain}: {err}")
         for phi in actives:
-            source, lift = cartesian_lift(y, phi)
+            # rebased onto the suite's chain, which owns its path graph;
+            # cartesian_lift has validated it
+            _, fresh = cartesian_lift(y, phi)
+            source = chains[fresh.source.chain]
+            lift = _unchecked(DeltaOpMorphism, source=source, target=y, underlying=fresh.underlying)
             order = [e for fib in phi.fibers for e in fib]
             if order == sorted(order):
                 if cut_morphism(lift) != phi:
@@ -374,7 +353,7 @@ def _check_cartesian_lifts(simplices, graph_pool) -> Check:
                     )
             # the universal property depends on the lift alone
             if lift not in universal_ok:
-                universal = _check_universal(simplices, y, source, lift, cache)
+                universal = _check_universal(chains, y, source, lift, homs, cuts)
                 if universal is not None:
                     return universal
                 universal_ok.add(lift)
@@ -382,40 +361,45 @@ def _check_cartesian_lifts(simplices, graph_pool) -> Check:
     return Check("cartesian-lifts", True, f"{lifts} active morphisms lifted")
 
 
-def _check_universal(simplices, y, xbar, lift, cache: _HomCache) -> Check | None:
+def _check_universal(chains, y, xbar, lift, homs, cuts) -> Check | None:
     """Every factorization through the path image extends uniquely to chains.
 
     For each chain z, each h0: z -> y and each psi: cut(z) -> cut(xbar)
     with psi;cut(lift) = cut(h0), exactly one h: z -> xbar must satisfy
     h;lift = h0 and cut(h) = psi. Pairs are tested h0-major, psi in
-    enumeration order, and the first failing pair is the witness.
+    enumeration order, and the first failing pair is the witness. Chain
+    hom-sets come from the suite's table `homs`; path-image hom-sets are
+    enumerated into `cuts` on first use. Both are keyed by entries.
 
     Within one z, every psi and every cut(h) runs cut(z) -> cut(xbar),
     every h0 and every h;lift runs z -> y, and every cut(h0) and every
-    psi;cut(lift) runs cut(z) -> cut(y), so the keys hold index data only. The psis are grouped by the (edge map,
-    fibers) of psi;cut(lift), and each h is counted under (index map of
-    h;lift, edge map and fibers of cut(h)). Each h0 then finds exactly the
-    psis the scan would accept, in the same order, and each count is the
-    number of matches the scan would find for (h0, psi).
+    psi;cut(lift) runs cut(z) -> cut(y), so the keys hold index data
+    only. The psis are grouped by the (edge map, fibers) of
+    psi;cut(lift), and each h is counted under (index map of h;lift, edge
+    map and fibers of cut(h)). Each h0 then finds exactly the psis the
+    scan would accept, in the same order, and each count is the number of
+    matches the scan would find for (h0, psi).
     """
     cut_lift = cut_morphism(lift)
-    for z in simplices:
+    for z in chains.values():
+        key = z.chain, xbar.chain
         try:
-            psis = cache.cut_homs(z, xbar)
+            if key not in cuts:
+                cuts[key] = enumerate_graph_morphisms(cut_object(z), cut_object(xbar))
         except InvalidCandidate as err:
             return Check("cartesian-universal", False, f"{z.chain} -> {xbar.chain}: {err}")
         by_composite: dict[tuple, list[tuple]] = {}
-        for psi in psis:
+        for psi in cuts[key]:
             composite = compose_graph_morphisms(psi, cut_lift)
             by_composite.setdefault((composite.edge_map, composite.fibers), []).append(
                 (psi.edge_map, psi.fibers)
             )
         factorizations: Counter[tuple] = Counter()
-        for h in cache.delta_homs(z, xbar):
+        for h in homs[key]:
             through = compose_delta(h, lift)
             cut_h = cut_morphism(h)
             factorizations[through.underlying, cut_h.edge_map, cut_h.fibers] += 1
-        for h0 in cache.delta_homs(z, y):
+        for h0 in homs[z.chain, y.chain]:
             cut_h0 = cut_morphism(h0)
             for edge_map, fibers in by_composite.get((cut_h0.edge_map, cut_h0.fibers), ()):
                 count = factorizations[h0.underlying, edge_map, fibers]
@@ -439,35 +423,32 @@ def _check_strongness(labels: LabelSet, simplices) -> Check:
     return Check("strongness", True, f"{len(points)} labels; {len(two)} single-edge graphs")
 
 
-def _check_lcut_marking(simplices) -> Check:
+def _check_lcut_marking(homs) -> Check:
     arrows = ((0, 0), (0, 1), (1, 1))
     checked = 0
-    for a in simplices:
-        for b in simplices:
-            for m in enumerate_delta_morphisms(a, b):
-                cls = classify_delta(m)
-                inert = cls in (DeltaClass.INERT, DeltaClass.TOTALLY_INERT)
-                lcuts = {}
-                for i, j in arrows:
-                    lm = lcuts[i, j] = lcut_morphism(m, i, j)
-                    rep = validate_morphism(lm)
-                    if not rep.ok:
-                        return Check(
-                            "lcut-marking", False, f"{a.chain}->{b.chain} at {i}->{j}: {rep.first_failure()}"
-                        )
-                    expected = inert and (cls is DeltaClass.TOTALLY_INERT or j == 1)
-                    got = classify_graph_morphism(lm) in (MapClass.INERT, MapClass.BOTH)
-                    if got != expected:
-                        return Check(
-                            "lcut-marking",
-                            False,
-                            f"{a.chain}->{b.chain} at {i}->{j}: inert={got}, marking says {expected}",
-                        )
-                via_target = compose_graph_morphisms(lcuts[0, 0], structural_inert(m.target))
-                via_source = compose_graph_morphisms(structural_inert(m.source), lcuts[1, 1])
-                if lcuts[0, 1] != via_target or lcuts[0, 1] != via_source:
-                    return Check("lcut-marking", False, f"{a.chain}->{b.chain}: naturality square broken")
-                checked += 1
+    for (a, b), ms in homs.items():
+        for m in ms:
+            cls = classify_delta(m)
+            inert = cls in (DeltaClass.INERT, DeltaClass.TOTALLY_INERT)
+            lcuts = {}
+            for i, j in arrows:
+                lm = lcuts[i, j] = lcut_morphism(m, i, j)
+                rep = validate_morphism(lm)
+                if not rep.ok:
+                    return Check("lcut-marking", False, f"{a}->{b} at {i}->{j}: {rep.first_failure()}")
+                expected = inert and (cls is DeltaClass.TOTALLY_INERT or j == 1)
+                got = classify_graph_morphism(lm) in (MapClass.INERT, MapClass.BOTH)
+                if got != expected:
+                    return Check(
+                        "lcut-marking",
+                        False,
+                        f"{a}->{b} at {i}->{j}: inert={got}, marking says {expected}",
+                    )
+            via_target = compose_graph_morphisms(lcuts[0, 0], structural_inert(m.target))
+            via_source = compose_graph_morphisms(structural_inert(m.source), lcuts[1, 1])
+            if lcuts[0, 1] != via_target or lcuts[0, 1] != via_source:
+                return Check("lcut-marking", False, f"{a}->{b}: naturality square broken")
+            checked += 1
     return Check("lcut-marking", True, f"{checked} chain morphisms")
 
 
@@ -489,12 +470,14 @@ def check_approximation(labels: LabelSet, max_dim: int) -> ValidationReport:
     # the graph pool: |labels|^2 edge kinds, at most max_dim edges; the
     # chains number fewer than |labels| more than it
     _require_enumerable(len(labels.labels) ** 2, max_dim)
-    simplices = enumerate_simplices(labels, max_dim + 1)
+    # the chains keyed by their entries, and every hom-set between them
+    chains = {x.chain: x for x in enumerate_simplices(labels, max_dim + 1)}
+    homs = {(a, b): enumerate_delta_morphisms(x, y) for a, x in chains.items() for b, y in chains.items()}
     pool = enumerate_objects(OperadTag.ASSOC, labels, max_dim)
     checks = (
-        _check_inert_chain_lifts(simplices),
-        _check_cartesian_lifts(simplices, pool),
-        _check_strongness(labels, simplices),
-        _check_lcut_marking(simplices),
+        _check_inert_chain_lifts(chains),
+        _check_cartesian_lifts(chains, homs, pool),
+        _check_strongness(labels, chains.values()),
+        _check_lcut_marking(homs),
     )
     return ValidationReport(checks)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from oplab.errors import IndexOutOfRange
@@ -13,12 +15,18 @@ from oplab.pointed import MapClass, PointedMap
 
 
 @pytest.mark.parametrize(
-    "domain_size,codomain_size,images",
-    [(-1, 1, ()), (2, 1, (1,)), (1, 1, (2,))],
-    ids=["negative-size", "wrong-count", "image-out-of-range"],
+    "domain_size,codomain_size,images,message",
+    [
+        (-1, 1, (), "set sizes must be nonnegative"),
+        (0, -1, (), "set sizes must be nonnegative"),
+        (2, 1, (1,), "expected 2 images, got 1"),
+        (1, 1, (2,), "image of 1 is 2, outside [0, 1]"),
+    ],
+    ids=["negative-size", "negative-codomain", "wrong-count", "image-out-of-range"],
 )
-def test_images_out_of_range_rejected(domain_size, codomain_size, images):
-    with pytest.raises(IndexOutOfRange):
+def test_images_out_of_range_rejected(domain_size, codomain_size, images, message):
+    # each case has one fault, and its message pins the branch that reports it
+    with pytest.raises(IndexOutOfRange, match=re.escape(message)):
         PointedMap(domain_size, codomain_size, images)
 
 

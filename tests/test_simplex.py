@@ -306,13 +306,16 @@ def test_enumerator_builds_each_morphism_once(monkeypatch):
 # seeded defects the approximation suite must report.
 
 
-def _scan_check_universal(simplices, y, xbar, lift, cache):
+def _scan_check_universal(chains, y, xbar, lift, homs, cuts):
     """Reference: test every (h0, psi) pair and scan every h for matches."""
     cut_lift = simplex.cut_morphism(lift)
-    for z in simplices:
-        into_y = cache.delta_homs(z, y)
-        into_x = cache.delta_homs(z, xbar)
-        psis = cache.cut_homs(z, xbar)
+    for z in chains.values():
+        key = z.chain, xbar.chain
+        into_y = homs[z.chain, y.chain]
+        into_x = homs[key]
+        if key not in cuts:
+            cuts[key] = simplex.enumerate_graph_morphisms(simplex.cut_object(z), simplex.cut_object(xbar))
+        psis = cuts[key]
         for h0 in into_y:
             cut_h0 = simplex.cut_morphism(h0)
             for psi in psis:
@@ -511,17 +514,20 @@ def test_approximation_counts_at_max_dim_two(labels, witnesses):
     assert rep.ok and [c.witness for c in rep.checks] == witnesses
 
 
-def _per_phi_check_cartesian_lifts(simplices, graph_pool):
-    """Reference: decide the universal property again for every active phi."""
+def _per_phi_check_cartesian_lifts(chains, homs, graph_pool):
+    """Reference: decide the universal property again for every active phi,
+    on the lift that cartesian_lift returns (its source a fresh chain) and
+    a hom table of its own instead of the suite's `homs`."""
     lifts = 0
-    cache = simplex._HomCache()
-    for y in simplices:
+    own = {(a, b): simplex.enumerate_delta_morphisms(x, y) for a, x in chains.items() for b, y in chains.items()}
+    cuts = {}
+    for y in chains.values():
         for phi in simplex._actives_into(graph_pool, y):
             source, lift = simplex.cartesian_lift(y, phi)
             order = [e for fib in phi.fibers for e in fib]
             if order == sorted(order) and simplex.cut_morphism(lift) != phi:
                 return Check("cartesian-lifts", False, f"{y.chain}: lift does not cut back to the input")
-            universal = simplex._check_universal(simplices, y, source, lift, cache)
+            universal = simplex._check_universal(chains, y, source, lift, own, cuts)
             if universal is not None:
                 return universal
             lifts += 1
@@ -546,9 +552,9 @@ def test_universal_decided_once_per_lift(monkeypatch, labels, max_dim, distinct)
     real = simplex._check_universal
     lifts = []
 
-    def counting(simplices, y, xbar, lift, cache):
+    def counting(chains, y, xbar, lift, homs, cuts):
         lifts.append(lift)
-        return real(simplices, y, xbar, lift, cache)
+        return real(chains, y, xbar, lift, homs, cuts)
 
     monkeypatch.setattr(simplex, "_check_universal", counting)
     assert check_approximation(labelset(*labels), max_dim).ok
@@ -572,7 +578,14 @@ def test_each_chain_builds_each_path_graph_once(monkeypatch):
 
     monkeypatch.setattr(simplex, "path_graph", counting)
     assert check_approximation(S, 2).ok
-    assert built and max(built.values()) == 1
+    assert max(built.values()) == 1 and sum(built.values()) == 42
+    # only the suite's own chains build path graphs, lifts and one-edge
+    # projections included: at {a,b} 3, the 30 chains of at most 4 entries,
+    # each its cut and its lcuts at levels 0 and 1
+    built.clear()
+    assert check_approximation(S, 3).ok
+    per_owner = Counter(owner for owner, _ in built)
+    assert len(per_owner) == 30 and set(per_owner.values()) == {3} and sum(built.values()) == 90
 
 
 # ---------------------------------------------------------------------------
