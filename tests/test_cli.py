@@ -285,6 +285,7 @@ def test_suite_verbs_pass():
     for argv in [
         ["check-operad", "--labels", "a,b", "--max-edges", "2", "--tag", "assoc"],
         ["check-approximation", "--labels", "a", "--max-dim", "2"],
+        ["check-approximation", "--labels", "a", "--max-dim", "0"],
         ["yoneda", "--category", str(FIXTURES / "preorder.json")],
         ["density", "--category", str(FIXTURES / "preorder.json")],
         ["duality", "--category", str(FIXTURES / "preorder.json")],

@@ -48,6 +48,16 @@ def test_every_mutant_of_a_module_parses():
         compile(m.source, "quantale.py", "exec")
 
 
+def test_a_directory_runs_the_module_tests_first_and_acceptance_last():
+    root = Path(__file__).resolve().parents[1]
+    files = mutants.ordered(Path("src/oplab/simplex.py"), ["-k", "not slow", "tests", "tests/test_cli.py"])
+    assert files[:3] == ["-k", "not slow", "tests/test_simplex.py"]
+    assert files[-2:] == ["tests/test_acceptance.py", "tests/test_cli.py"]
+    middle = files[3:-2]
+    assert middle == sorted(middle)
+    assert set(files[2:-1]) == {f"tests/{f.name}" for f in (root / "tests").glob("test_*.py")}
+
+
 def test_every_listed_equivalent_mutant_is_one_generated_mutant():
     # an entry whose line or change no longer matches would hide nothing
     # and silently stop listing its mutant; the census deselects this test,

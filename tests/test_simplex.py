@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -34,7 +35,7 @@ from oplab.simplex import (
     lcut_morphism,
     structural_inert,
 )
-from oplab.report import Check, failing, read_once
+from oplab.report import Check, ValidationReport, failing, read_once
 
 S = labelset("a", "b")
 
@@ -244,6 +245,20 @@ def test_lcut_marking_rules_spot():
 def test_check_approximation_small():
     rep = check_approximation(labelset("a"), 2)
     assert rep.ok, rep.first_failure()
+
+
+def test_check_approximation_at_max_dim_zero_and_without_labels():
+    # strongness reads the chains of two entries even when the bound holds
+    # none; with no labels there is no chain to read the labels off
+    assert [c.witness for c in check_approximation(labelset("a"), 0).checks] == [
+        "1 chains",
+        "1 active morphisms lifted",
+        "1 labels; 1 single-edge graphs",
+        "1 chain morphisms",
+    ]
+    assert check_approximation(S, 0).ok
+    rep = check_approximation(labelset(), 2)
+    assert rep.ok and len(rep.checks) == 4 and rep.checks[0].witness == "0 chains"
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +529,10 @@ def test_approximation_counts_at_max_dim_two(labels, witnesses):
     assert rep.ok and [c.witness for c in rep.checks] == witnesses
 
 
-def _per_phi_check_cartesian_lifts(chains, homs, graph_pool):
-    """Reference: decide the universal property again for every active phi,
-    on the lift that cartesian_lift returns (its source a fresh chain) and
-    a hom table of its own instead of the suite's `homs`."""
+def _per_phi_check_cartesian_lifts(labels, chains, homs, graph_pool):
+    """Reference: decide the universal property again for every chain y and
+    every active phi, on the lift that cartesian_lift returns (its source a
+    fresh chain) and a hom table of its own instead of the suite's `homs`."""
     lifts = 0
     own = {(a, b): simplex.enumerate_delta_morphisms(x, y) for a, x in chains.items() for b, y in chains.items()}
     cuts = {}
@@ -534,20 +549,139 @@ def _per_phi_check_cartesian_lifts(chains, homs, graph_pool):
     return Check("cartesian-lifts", True, f"{lifts} active morphisms lifted")
 
 
+REFERENCE_BOUNDS = [(labelset("a"), d) for d in range(4)] + [(S, d) for d in range(4)] + [(labelset("a", "b", "c"), 2)]
+
+
 @pytest.mark.parametrize("defect", [None, *DEFECTS])
 def test_lift_memo_matches_per_phi_loop(monkeypatch, defect):
+    # the suite decides one chain y per orbit of label permutations; the
+    # reference walks every y
     if defect is not None:
         DEFECTS[defect][0](monkeypatch)
-    for labels in (labelset("a"), S):
-        for max_dim in range(3):
-            shipped = check_approximation(labels, max_dim)
-            with monkeypatch.context() as m:
-                m.setattr(simplex, "_check_cartesian_lifts", _per_phi_check_cartesian_lifts)
-                reference = check_approximation(labels, max_dim)
-            assert shipped == reference
+    for labels, max_dim in REFERENCE_BOUNDS:
+        shipped = check_approximation(labels, max_dim)
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_check_cartesian_lifts", _per_phi_check_cartesian_lifts)
+            reference = check_approximation(labels, max_dim)
+        assert shipped == reference, (labels, max_dim)
 
 
-@pytest.mark.parametrize("labels, max_dim, distinct", [(("a",), 3, 35), (("a", "b"), 2, 50)])
+def _every_pair_check_lcut_marking(labels, homs):
+    """Reference: lcut-marking over every pair of chains, each morphism
+    counted once."""
+    arrows = ((0, 0), (0, 1), (1, 1))
+    checked = 0
+    for (a, b), ms in homs.items():
+        for m in ms:
+            cls = simplex.classify_delta(m)
+            inert = cls in (DeltaClass.INERT, DeltaClass.TOTALLY_INERT)
+            lcuts = {}
+            for i, j in arrows:
+                lm = lcuts[i, j] = simplex.lcut_morphism(m, i, j)
+                rep = simplex.validate_morphism(lm)
+                if not rep.ok:
+                    return Check("lcut-marking", False, f"{a}->{b} at {i}->{j}: {rep.first_failure()}")
+                expected = inert and (cls is DeltaClass.TOTALLY_INERT or j == 1)
+                got = simplex.classify_graph_morphism(lm) in (MapClass.INERT, MapClass.BOTH)
+                if got != expected:
+                    return Check("lcut-marking", False, f"{a}->{b} at {i}->{j}: inert={got}, marking says {expected}")
+            via_target = simplex.compose_graph_morphisms(lcuts[0, 0], simplex.structural_inert(m.target))
+            via_source = simplex.compose_graph_morphisms(simplex.structural_inert(m.source), lcuts[1, 1])
+            if lcuts[0, 1] != via_target or lcuts[0, 1] != via_source:
+                return Check("lcut-marking", False, f"{a}->{b}: naturality square broken")
+            checked += 1
+    return Check("lcut-marking", True, f"{checked} chain morphisms")
+
+
+@pytest.mark.parametrize(
+    "seed, failed_bounds",
+    [(None, 0), (_forget_after_structural_inert, 7), (_misclassify_last_edge, 5)],
+    ids=["clean", "one-side-of-square", "last-edge"],
+)
+def test_lcut_marking_matches_every_pair_walk(monkeypatch, seed, failed_bounds):
+    # the suite decides one pair of chains per orbit of label permutations
+    # (both chains renamed together); the reference walks every pair
+    if seed is not None:
+        seed(monkeypatch)
+    failures = 0
+    for labels, max_dim in REFERENCE_BOUNDS:
+        shipped = check_approximation(labels, max_dim)
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_check_lcut_marking", _every_pair_check_lcut_marking)
+            reference = check_approximation(labels, max_dim)
+        assert shipped == reference, (labels, max_dim)
+        failures += not shipped.checks[3].ok
+    # the square breaks wherever a chain has an edge, the last-edge marking
+    # wherever one has two
+    assert failures == failed_bounds
+
+
+def _renamed(report, names):
+    """The report with every quoted label in its witnesses renamed by `names`."""
+    quoted = re.compile("|".join(f"'{x}'" for x in names))
+    return ValidationReport(
+        tuple(
+            Check(c.name, c.ok, quoted.sub(lambda hit: repr(names[hit.group()[1:-1]]), c.witness))
+            for c in report.checks
+        )
+    )
+
+
+def _first_renaming_mismatch(labels, max_dim):
+    """The first order of `labels` whose report, with its labels renamed to
+    `labels` position by position, differs from the report in `labels`
+    order, or None."""
+    base = check_approximation(labelset(*labels), max_dim)
+    for order in itertools.permutations(labels):
+        renamed = _renamed(check_approximation(labelset(*order), max_dim), dict(zip(order, labels)))
+        if renamed != base:
+            return order
+    return None
+
+
+@pytest.mark.parametrize("defect", [None, *DEFECTS])
+@pytest.mark.parametrize("labels, max_dim", [(("a", "b"), 2), (("a", "b"), 3), (("a", "b", "c"), 2)])
+def test_approximation_is_label_invariant(monkeypatch, defect, labels, max_dim):
+    # each order of the labels makes other chains the first of their orbits,
+    # so the orders together decide every chain
+    if defect is not None:
+        DEFECTS[defect][0](monkeypatch)
+    assert _first_renaming_mismatch(labels, max_dim) is None
+
+
+def _break_lifts_into_b(monkeypatch):
+    # depends on a label's name: the lift into a chain that starts with "b"
+    # forgets where its fibers end
+    real = simplex.cartesian_lift
+
+    def defective(target, phi):
+        source, lift = real(target, phi)
+        if target.chain[0] == "b":
+            ends = (0,) * len(lift.underlying)
+            lift = simplex._unchecked(DeltaOpMorphism, source=source, target=target, underlying=ends)
+        return source, lift
+
+    monkeypatch.setattr(simplex, "cartesian_lift", defective)
+
+
+def test_label_invariance_sees_a_name_dependent_defect(monkeypatch):
+    # the suite decides only chains whose first label comes first in the
+    # label order: it misses the defect in order (a, b), where the walk over
+    # every chain reports it, and reports it in order (b, a)
+    _break_lifts_into_b(monkeypatch)
+    broken = "lift does not cut back to the input"
+    assert check_approximation(labelset("a", "b"), 2).ok
+    with monkeypatch.context() as m:
+        m.setattr(simplex, "_check_cartesian_lifts", _per_phi_check_cartesian_lifts)
+        every_y = check_approximation(labelset("a", "b"), 2).first_failure()
+    assert every_y == Check("cartesian-lifts", False, f"('b', 'a'): {broken}")
+    reduced = check_approximation(labelset("b", "a"), 2).first_failure()
+    assert reduced == Check("cartesian-lifts", False, f"('b', 'b'): {broken}")
+    assert _first_renaming_mismatch(("a", "b"), 2) == ("b", "a")
+    assert _first_renaming_mismatch(("a", "b", "c"), 2) == ("b", "a", "c")
+
+
+@pytest.mark.parametrize("labels, max_dim, distinct", [(("a",), 3, 35), (("a", "b"), 2, 25)])
 def test_universal_decided_once_per_lift(monkeypatch, labels, max_dim, distinct):
     real = simplex._check_universal
     lifts = []
@@ -578,14 +712,17 @@ def test_each_chain_builds_each_path_graph_once(monkeypatch):
 
     monkeypatch.setattr(simplex, "path_graph", counting)
     assert check_approximation(S, 2).ok
-    assert max(built.values()) == 1 and sum(built.values()) == 42
+    assert max(built.values()) == 1 and sum(built.values()) == 40
     # only the suite's own chains build path graphs, lifts and one-edge
     # projections included: at {a,b} 3, the 30 chains of at most 4 entries,
-    # each its cut and its lcuts at levels 0 and 1
+    # each its cut and its lcuts at levels 0 and 1, except ('b', 'a', 'b',
+    # 'a'), the end of no chain morphism out of a chain that starts with 'a'
     built.clear()
     assert check_approximation(S, 3).ok
     per_owner = Counter(owner for owner, _ in built)
-    assert len(per_owner) == 30 and set(per_owner.values()) == {3} and sum(built.values()) == 90
+    chain_of = {id(owner): owner.chain for owner in owners}
+    assert len(per_owner) == 30 and sum(built.values()) == 88
+    assert [chain_of[o] for o, n in per_owner.items() if n != 3] == [("b", "a", "b", "a")]
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +772,7 @@ def test_memos_match_memo_free_build_under_rejected_candidates(monkeypatch, reje
     _assert_matches_memo_free(monkeypatch)
 
 
-@pytest.mark.parametrize("labels, max_dim, once, memo_free", [(("a",), 3, 8, 24), (("a", "b"), 2, 140, 630)])
+@pytest.mark.parametrize("labels, max_dim, once, memo_free", [(("a",), 3, 8, 24), (("a", "b"), 2, 140, 315)])
 def test_each_graph_builds_each_chain_pool_once(monkeypatch, labels, max_dim, once, memo_free):
     # count per source graph object (kept alive, so ids stay distinct) and
     # target edge; enumerate_graph_morphisms two frames up holds the source
@@ -685,5 +822,8 @@ def test_each_chain_builds_its_structural_inert_once(monkeypatch):
 
     monkeypatch.setattr(LabeledSimplex, "_structural_inert", read_once(_structural_inert))
     assert check_approximation(S, 2).ok
-    # every one of the 14 chains is a source and a target in lcut-marking
-    assert len(built) == 14 and max(built.values()) == 1
+    # lcut-marking decides the pairs whose concatenated entries meet 'a'
+    # first; ('b', 'a', 'b') is the end of none of their morphisms, and each
+    # of the other 13 chains builds its structural inert once
+    assert len(built) == 13 and max(built.values()) == 1
+    assert ("b", "a", "b") not in {owner.chain for owner in owners}

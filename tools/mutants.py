@@ -15,7 +15,10 @@ file keeps its text. Expressions inside f-strings are left alone.
 
 The repository is copied once into a temporary directory. Each mutant is
 written over the module in the copy, and the selection runs there with
-``pytest -x``; a run that takes ten times the clean run (plus 10 s) counts as
+``pytest -x``. A directory in the selection runs as its test files:
+``test_<module>.py`` first, ``test_acceptance.py`` last and the rest in name
+order, so ``-x`` stops at the module's own tests before the slow acceptance
+criteria. A run that takes ten times the clean run (plus 10 s) counts as
 killed. A mutant that passes the selection survives and is printed with its
 line and change. A survivor listed in ``tools/equivalent_mutants.json`` is
 printed as equivalent, with its reason: such a mutant cannot change what the
@@ -127,6 +130,23 @@ def mutant_key(module: str, lines: list[str], mutant: Mutant) -> tuple[str, str,
     return module, lines[mutant.line - 1].strip(), mutant.change
 
 
+def ordered(module: Path, selection: list[str]) -> list[str]:
+    """The selection with each directory (relative to the repository)
+    replaced by its test files: the module's own first, test_acceptance.py
+    last."""
+    own = f"test_{module.stem}.py"
+    out = []
+    for arg in selection:
+        if not (ROOT / arg).is_dir():
+            out.append(arg)
+            continue
+        files = sorted(
+            (ROOT / arg).rglob("test_*.py"), key=lambda f: (f.name != own, f.name == "test_acceptance.py", f)
+        )
+        out += [f.relative_to(ROOT).as_posix() for f in files]
+    return out
+
+
 def survivors(module: Path, selection: list[str]) -> list[Mutant]:
     """The unlisted mutants of `module` (a file under the repository) that
     pass the pytest `selection`, printed as they are found; listed ones are
@@ -143,7 +163,7 @@ def survivors(module: Path, selection: list[str]) -> list[Mutant]:
         shutil.copytree(ROOT, work, ignore=ignored)
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-        command += ["--deselect", LIST_TEST, *selection]
+        command += ["--deselect", LIST_TEST, *ordered(module, selection)]
 
         def passes(timeout: float | None) -> bool:
             try:
