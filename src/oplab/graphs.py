@@ -43,9 +43,9 @@ def _unchecked(cls, **fields):
 
     Only for fields that are valid by construction and already in the form
     __post_init__ would store (tuples, edges as tuples): composites, cuts
-    and splices of valid objects, and candidates built from index ranges.
-    The instance equals, hashes and prints like the one the public
-    constructor builds from the same fields.
+    and splices of valid objects, and candidates built from index ranges
+    or an edge alphabet. The instance equals, hashes and prints like the
+    one the public constructor builds from the same fields.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -59,13 +59,13 @@ class LabelSet:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise InvalidLabels(f"duplicate labels in {self.labels}")
         for name in self.labels:
             if not name or not isinstance(name, str):
                 raise InvalidLabels(f"label {name!r} must be a non-empty string")
             if name == STAR:
                 raise InvalidLabels(f"{STAR!r} is reserved for the basepoint")
+        if len(set(self.labels)) != len(self.labels):
+            raise InvalidLabels(f"duplicate labels in {self.labels}")
 
     def vertices(self) -> tuple[str, ...]:
         return self.labels + ((STAR,) if self.pointed else ())
@@ -85,9 +85,9 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        for s, t in self.edges:
-            if not self.labels.has_vertex(s) or not self.labels.has_vertex(t):
-                raise InvalidLabels(f"edge ({s},{t}) uses vertices outside {self.labels}")
+        for edge in self.edges:
+            if len(edge) != 2 or not self.labels.has_vertex(edge[0]) or not self.labels.has_vertex(edge[1]):
+                raise InvalidLabels(f"edge {edge} must join two vertices of {self.labels.vertices()}")
 
     # The field hash, computed once: the splice memo looks graphs up per pair.
     def __hash__(self):
@@ -592,52 +592,59 @@ def _require_enumerable(kinds: int, max_edges: int) -> None:
         raise SizeBoundExceeded(f"{count} objects of at most {max_edges} edges exceeds bound {OBJECT_BOUND}")
 
 
-def enumerate_objects(tag: OperadTag, labels: LabelSet, max_edges: int) -> list[Graph]:
-    """All graphs of the operad with at most max_edges edges."""
-    alphabet = allowed_edges(tag, labels)
-    glabels = tag_labels(tag, labels)
-    out = []
+def _ordered_tuples(alphabet, max_edges: int):
+    """Every edge tuple of at most max_edges edges, size by size in
+    itertools.product order: objects order."""
     for n in range(max_edges + 1):
-        for edges in itertools.product(alphabet, repeat=n):
-            out.append(Graph(glabels, edges))
-    return out
+        yield from itertools.product(alphabet, repeat=n)
+
+
+def enumerate_objects(tag: OperadTag, labels: LabelSet, max_edges: int) -> list[Graph]:
+    """All graphs of the operad with at most max_edges edges, in objects order."""
+    glabels = tag_labels(tag, labels)
+    return [Graph(glabels, edges) for edges in _ordered_tuples(allowed_edges(tag, labels), max_edges)]
+
+
+def _sorted_tuples(alphabet, max_edges: int):
+    """Each edge tuple of at most max_edges edges sorted by alphabet rank, in
+    combinations order, with its weight n!/prod m_i!: its edge orders."""
+    for n in range(max_edges + 1):
+        for edges in itertools.combinations_with_replacement(alphabet, n):
+            yield edges, math.factorial(n) // math.prod(map(math.factorial, Counter(edges).values()))
 
 
 # ---------------------------------------------------------------------------
 # Operad axiom checking.
 
 
-def _orbits(objects: list[Graph], alphabet) -> tuple[list[tuple[Graph, int]], Counter]:
-    """The orbits of objects under edge orders and base-label renamings
-    (STAR fixed), counted in one pass over objects.
+def _orbits(tuples, alphabet) -> tuple[list[tuple[tuple, int]], dict]:
+    """The orbits of the objects under edge orders and base-label renamings
+    (STAR fixed), from the (sorted tuple, weight) pairs of _sorted_tuples.
 
-    Returns the first member of each orbit in objects order, with the number
-    of objects in its orbit, and for each edge tuple sorted by alphabet rank
-    the number of objects that sort to it. An orbit is keyed by a canonical
-    form, memoized per sorted tuple: the least sorted rank tuple over the k!
-    renamings of the k base labels the tuple uses onto the first k. Renaming
-    a tuple's labels only reorders those renamings, so its whole orbit
-    shares the form.
+    Returns each orbit's first tuple with its weights summed, and each
+    tuple's weight. Sorting never moves a tuple later in objects order,
+    which is combinations order among sorted tuples, so that tuple is the
+    orbit's first member in objects order. An orbit is keyed by a canonical
+    form: the least sorted rank tuple over the k! renamings of the k base
+    labels the tuple uses onto the first k. Renaming a tuple's labels only
+    reorders those renamings, so its whole orbit shares the form.
     """
     rank = {ep: r for r, ep in enumerate(alphabet)}
     labels = tuple(dict.fromkeys(v for ep in alphabet for v in ep if v != STAR))
-    canon = {}
     first = {}
     size = Counter()
-    weights = Counter()
-    for g in objects:
-        key = tuple(sorted(g.edges, key=rank.__getitem__))
-        if key not in canon:
-            used = {v for ep in key for v in ep} - {STAR}
-            renamings = (dict(zip(used, names)) for names in itertools.permutations(labels[: len(used)]))
-            canon[key] = min(tuple(sorted(rank[to.get(s, s), to.get(t, t)] for s, t in key)) for to in renamings)
-        first.setdefault(canon[key], g)
-        size[canon[key]] += 1
-        weights[key] += 1
-    return [(g, size[form]) for form, g in first.items()], weights
+    weights = {}
+    for key, weight in tuples:
+        used = {v for ep in key for v in ep} - {STAR}
+        renamings = (dict(zip(used, names)) for names in itertools.permutations(labels[: len(used)]))
+        form = min(tuple(sorted(rank[to.get(s, s), to.get(t, t)] for s, t in key)) for to in renamings)
+        first.setdefault(form, key)
+        size[form] += weight
+        weights[key] = weight
+    return [(key, size[form]) for form, key in first.items()], weights
 
 
-def _inert_walk(objects: list[Graph], sources) -> Check:
+def _inert_walk(labels: LabelSet, sources) -> Check:
     """Every inert base map out of <n> has exactly one lift, and it is inert.
 
     The lifts are those of enumerate_inert_from. Distinct inert maps out of
@@ -654,7 +661,8 @@ def _inert_walk(objects: list[Graph], sources) -> Check:
     and the first failing source is the first failing object in objects
     order; its witness is reported as found.
     """
-    for g, _ in sources:
+    for edges, _ in sources:
+        g = _unchecked(Graph, labels=labels, edges=edges)
         n = len(g.edges)
         bases: set[tuple[int, ...]] = set()
         for lift in enumerate_inert_from(g):
@@ -672,22 +680,23 @@ def _inert_walk(objects: list[Graph], sources) -> Check:
         if len(bases) != want:
             witness = f"{g.edges}: lifts cover {len(bases)} of {want} inert base maps"
             return Check("inert-lifts", False, witness)
-    return Check("inert-lifts", True, f"{len(objects)} objects")
+    return Check("inert-lifts", True, f"{sum(size for _, size in sources)} objects")
 
 
-def _check_segal_objects(objects: list[Graph], alphabet, max_edges: int) -> Check:
+def _check_segal_objects(tuples, kinds: int, max_edges: int) -> Check:
+    """No sorted tuple repeats, and those of n edges weigh kinds^n together:
+    as many as the n-tuples of single-edge objects."""
+    seen = set()
+    fibers = Counter()
+    for edges, weight in tuples:
+        if edges in seen:
+            return Check("segal-objects", False, f"sorted tuple {edges} generated twice")
+        seen.add(edges)
+        fibers[len(edges)] += weight
     for n in range(max_edges + 1):
-        fiber = [g for g in objects if len(g.edges) == n]
-        if len(fiber) != len(alphabet) ** n:
-            return Check("segal-objects", False, f"fiber over <{n}> has {len(fiber)} objects")
-        restrictions = set()
-        for g in fiber:
-            # the restriction along the inert map keeping only edge i is
-            # the single-edge subgraph at i
-            restrictions.add(tuple(Graph(g.labels, (g.edges[i],)) for i in range(n)))
-        if len(restrictions) != len(fiber):
-            return Check("segal-objects", False, f"<{n}>: restrictions not injective")
-    return Check("segal-objects", True, f"fibers match {len(alphabet)}^n for n<={max_edges}")
+        if fibers[n] != kinds**n:
+            return Check("segal-objects", False, f"fiber over <{n}> has {fibers[n]} objects")
+    return Check("segal-objects", True, f"fibers match {kinds}^n for n<={max_edges}")
 
 
 def _validated_count(src_edges, tgt_edges, edge_map, orders) -> int:
@@ -754,7 +763,7 @@ def _segal_source(src_edges, trie) -> tuple[list, list]:
     return compared, mismatches
 
 
-def _segal_walk(objects: list[Graph], sources, weights) -> Check:
+def _segal_walk(sources, weights, alphabet, max_edges: int) -> Check:
     """The Segal condition on morphisms (_segal_source), decided at the
     sources of _orbits and the sorted targets that weights counts.
 
@@ -765,28 +774,24 @@ def _segal_walk(objects: list[Graph], sources, weights) -> Check:
     _validate_indices only compares endpoint names for equality. So one
     source per orbit and one target per edge order decide every pair, and
     each visited pair counts as the objects in its source's orbit times the
-    objects that sort to its target, so the pair count counts every pair of
-    objects decided.
+    weight of its target, so the pair count counts every pair of objects
+    decided.
 
     The failing sources form whole orbits, so the first one in objects
     order is the first member of the first failing orbit. That one source
-    is walked again over every target in objects, and the mismatch is
-    reported at its first failing target in objects order, at the least
-    base map.
+    is walked again over every ordered target (_ordered_tuples), and the
+    mismatch is reported at its first failing target in objects order, at
+    the least base map.
     """
     trie = _target_trie(weights)
     pairs = 0
     for src, size in sources:
-        compared, mismatches = _segal_source(src.edges, trie)
+        compared, mismatches = _segal_source(src, trie)
         if mismatches:
-            position = {g.edges: k for k, g in enumerate(objects)}
-            _, mismatches = _segal_source(src.edges, _target_trie(position))
-            k, base, whole, product = min((position[edges], *rest) for edges, *rest in mismatches)
-            return Check(
-                "segal-morphisms",
-                False,
-                f"{src.edges} -> {objects[k].edges} over {base}: {whole} whole vs product {product}",
-            )
+            position = {edges: k for k, edges in enumerate(_ordered_tuples(alphabet, max_edges))}
+            _, mismatches = _segal_source(src, _target_trie(position))
+            _, tgt, base, whole, product = min((position[edges], edges, *rest) for edges, *rest in mismatches)
+            return Check("segal-morphisms", False, f"{src} -> {tgt} over {base}: {whole} whole vs product {product}")
         pairs += size * sum(map(weights.__getitem__, compared))
     return Check("segal-morphisms", True, f"{pairs} source/target pairs")
 
@@ -800,27 +805,27 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
         product of the validated counts into each single-edge restriction of
         the target; one search and one validator decide both sides.
 
-    (1) and (3) visit one source per orbit of edge orders and base-label
-    permutations, its first member in objects order, and (3) compares each
-    with one target per edge order, sorted by alphabet rank. Both symmetries
-    carry the conditions along, so a failure is reported at the first
-    failing object in objects order, and by (3) at that source's first
-    failing target in objects order. The pair count of (3) weighs each
-    visited pair by the objects counted in its source's orbit and sorting
-    to its target, so it counts every pair of objects.
+    The objects come as sorted edge tuples, each weighted by its edge orders
+    (_sorted_tuples), and (2) checks those. (1) and (3) visit one source per
+    orbit of edge orders and base-label permutations, its first member in
+    objects order, and (3) compares each with every sorted target. Both
+    symmetries carry the conditions along, so a failure is reported at the
+    first failing object in objects order, and by (3) at that source's
+    first failing target in objects order. The weights make the object
+    count of (1) and the pair count of (3) count every ordered object.
 
     A negative bound raises InvalidBound, and objects past OBJECT_BOUND or
-    OBJECT_EDGE_BOUND raise SizeBoundExceeded, before any is built.
+    OBJECT_EDGE_BOUND raise SizeBoundExceeded, before any is generated.
     """
     if max_edges < 0:
         raise InvalidBound(f"max_edges must be at least 0, got {max_edges}")
     alphabet = allowed_edges(tag, labels)
     _require_enumerable(len(alphabet), max_edges)
-    objects = enumerate_objects(tag, labels, max_edges)
-    sources, weights = _orbits(objects, alphabet)
+    tuples = list(_sorted_tuples(alphabet, max_edges))
+    sources, weights = _orbits(tuples, alphabet)
     checks = (
-        _inert_walk(objects, sources),
-        _check_segal_objects(objects, alphabet, max_edges),
-        _segal_walk(objects, sources, weights),
+        _inert_walk(tag_labels(tag, labels), sources),
+        _check_segal_objects(tuples, len(alphabet), max_edges),
+        _segal_walk(sources, weights, alphabet, max_edges),
     )
     return ValidationReport(checks)

@@ -121,8 +121,7 @@ def _decide_lattice(leq, names) -> _Tables | ValidationReport:
     ("lattice"). A finite nonempty partial order with every binary join
     and meet has a bottom and a top, so those scans cannot fail.
     """
-    k = len(leq)
-    rng = range(k)
+    rng = range(len(leq))
     for a in rng:
         if not leq[a][a]:
             return failing("order", f"not reflexive at {names[a]}")
@@ -133,22 +132,15 @@ def _decide_lattice(leq, names) -> _Tables | ValidationReport:
             for c in rng:
                 if leq[a][b] and leq[b][c] and not leq[a][c]:
                     return failing("order", f"not transitive at ({names[a]},{names[b]},{names[c]})")
-    joins = [[0] * k for _ in rng]
-    meets = [[0] * k for _ in rng]
+    joins = tuple(tuple(_least_upper(leq, (a, b), rng) for b in rng) for a in rng)
+    meets = tuple(tuple(_greatest_lower(leq, (a, b), rng) for b in rng) for a in rng)
     for a in rng:
         for b in rng:
-            joins[a][b] = _least_upper(leq, (a, b), rng)
             if joins[a][b] is None:
                 return failing("lattice", f"no join of ({names[a]},{names[b]})")
-            meets[a][b] = _greatest_lower(leq, (a, b), rng)
             if meets[a][b] is None:
                 return failing("lattice", f"no meet of ({names[a]},{names[b]})")
-    return _Tables(
-        tuple(map(tuple, joins)),
-        tuple(map(tuple, meets)),
-        _least_upper(leq, (), rng),
-        _greatest_lower(leq, (), rng),
-    )
+    return _Tables(joins, meets, _least_upper(leq, (), rng), _greatest_lower(leq, (), rng))
 
 
 @lru_cache(maxsize=256)

@@ -355,6 +355,7 @@ def test_bounds_just_over_the_size_bound_exit_two(monkeypatch):
         raise AssertionError("enumerated past the size bound")
 
     monkeypatch.setattr(graphs, "enumerate_objects", refuse)
+    monkeypatch.setattr(graphs, "_sorted_tuples", refuse)
     monkeypatch.setattr(simplex, "enumerate_objects", refuse)
     monkeypatch.setattr(simplex, "enumerate_simplices", refuse)
     for argv, witness in [

@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import math
 import weakref
 from collections import Counter
 
@@ -74,6 +75,24 @@ def test_star_reserved():
         labelset("a", STAR)
     with pytest.raises(InvalidLabels):
         Graph(S, ((STAR, "a"),))
+
+
+_TWO_VERTICES = r"edge \({}\) must join two vertices of \('a',\)"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: labelset("a", ""), "label '' must be a non-empty string"),
+        # the string check runs before the duplicate check, which hashes labels
+        (lambda: graphs.LabelSet((["a"],)), r"label \['a'\] must be a non-empty string"),
+        (lambda: Graph(labelset("a"), [("a", "a", "a")]), _TWO_VERTICES.format("'a', 'a', 'a'")),
+        (lambda: Graph(labelset("a"), [("a", "b")]), _TWO_VERTICES.format("'a', 'b'")),
+    ],
+)
+def test_constructors_refuse_malformed_labels_and_edges(build, message):
+    with pytest.raises(InvalidLabels, match=f"^{message}$"):
+        build()
 
 
 def test_path_graph():
@@ -705,23 +724,55 @@ def test_size_bounds_admit_their_limits():
     assert check_operad_axioms(OperadTag.ASSOC, S, 0).ok
 
 
-def test_missing_target_is_passed_through(monkeypatch):
-    # the segal walk reaches (b,b)(b,b), which objects lacks: it is neither
-    # compared nor counted, and segal-objects reports the short fiber
-    original = graphs.enumerate_objects
-    monkeypatch.setattr(graphs, "enumerate_objects", lambda *args: original(*args)[:-1])
-    assert check_operad_axioms(OperadTag.ASSOC, S, 2) == ValidationReport((
-        Check("inert-lifts", True, "20 objects"),
-        Check("segal-objects", False, "fiber over <2> has 15 objects"),
-        Check("segal-morphisms", True, "400 source/target pairs"),
-    ))
+def _drop_top_tuple(tuples):
+    """_sorted_tuples without its last tuple."""
+    return lambda *args: list(tuples(*args))[:-1]
 
 
-def test_segal_objects_checks_the_top_fiber(monkeypatch):
-    original = graphs.enumerate_objects
-    monkeypatch.setattr(graphs, "enumerate_objects", lambda *args: [g for g in original(*args) if len(g.edges) < 3])
-    rep = check_operad_axioms(OperadTag.ASSOC, labelset("a"), 3)
-    assert rep.first_failure() == Check("segal-objects", False, "fiber over <3> has 0 objects")
+def _repeat_first_two_edge_tuple(tuples):
+    """_sorted_tuples that yields its first tuple of two edges twice."""
+
+    def defective(*args):
+        for edges, weight in tuples(*args):
+            yield edges, weight
+            if edges == (("a", "a"), ("a", "a")):
+                yield edges, weight
+
+    return defective
+
+
+def _weigh_as_distinct(tuples):
+    """_sorted_tuples that weighs each tuple as if its edges were distinct."""
+    return lambda *args: [(edges, math.factorial(len(edges))) for edges, _ in tuples(*args)]
+
+
+@pytest.mark.parametrize(
+    "defect, witness",
+    [
+        (_drop_top_tuple, "fiber over <3> has 63 objects"),
+        (_repeat_first_two_edge_tuple, "sorted tuple (('a', 'a'), ('a', 'a')) generated twice"),
+        (_weigh_as_distinct, "fiber over <2> has 20 objects"),
+    ],
+)
+def test_segal_objects_reports_a_defective_generator(monkeypatch, defect, witness):
+    # the sorted-tuple generator drops, repeats or misweighs a tuple; every
+    # other check still passes
+    monkeypatch.setattr(graphs, "_sorted_tuples", defect(graphs._sorted_tuples))
+    rep = check_operad_axioms(OperadTag.ASSOC, labelset("a", "b"), 3)
+    assert rep.first_failure() == Check("segal-objects", False, witness)
+    assert [c.name for c in rep.checks if not c.ok] == ["segal-objects"]
+
+
+def test_sorted_tuples_weigh_their_edge_orders():
+    # each sorted tuple once, in combinations order, weighted by the ordered
+    # tuples of objects order that sort to it
+    for tag in OperadTag:
+        alphabet = allowed_edges(tag, S)
+        rank = {ep: r for r, ep in enumerate(alphabet)}
+        want = Counter(tuple(sorted(g.edges, key=rank.__getitem__)) for g in enumerate_objects(tag, S, 3))
+        got = list(graphs._sorted_tuples(alphabet, 3))
+        assert dict(got) == want and list(dict(got)) == list(want), tag
+        assert len(got) == len(want), tag
 
 
 def test_modular_tags_constrain_objects():
@@ -812,8 +863,7 @@ def test_segal_witness_is_first_failing_target_in_objects_order(monkeypatch):
         return validate(src_edges, tgt_edges, edge_map, fibers)
 
     monkeypatch.setattr(graphs, "_validate_indices", defective)
-    objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 3)
-    assert _segal_check(objects, alphabet) == Check(
+    assert _segal_check(OperadTag.ASSOC, ("a", "b"), 3) == Check(
         "segal-morphisms", False, "() -> (('b', 'b'), ('b', 'b')) over (): 0 whole vs product 1"
     )
 
@@ -990,19 +1040,27 @@ def _segal_inputs(tag, names, max_edges):
     return enumerate_objects(tag, labels, max_edges), allowed_edges(tag, labels)
 
 
-def _inert_check(objects, alphabet):
+def _shipped_orbits(tag, names, max_edges):
+    """_orbits as check_operad_axioms computes it, and the edge alphabet."""
+    alphabet = allowed_edges(tag, labelset(*names))
+    return graphs._orbits(graphs._sorted_tuples(alphabet, max_edges), alphabet), alphabet
+
+
+def _inert_check(tag, names, max_edges):
     """inert-lifts as check_operad_axioms decides it: once per orbit."""
-    return graphs._inert_walk(objects, graphs._orbits(objects, alphabet)[0])
+    (sources, _), _ = _shipped_orbits(tag, names, max_edges)
+    return graphs._inert_walk(graphs.tag_labels(tag, labelset(*names)), sources)
 
 
-def _segal_check(objects, alphabet):
+def _segal_check(tag, names, max_edges):
     """segal-morphisms as check_operad_axioms decides it: once per orbit."""
-    return graphs._segal_walk(objects, *graphs._orbits(objects, alphabet))
+    (sources, weights), alphabet = _shipped_orbits(tag, names, max_edges)
+    return graphs._segal_walk(sources, weights, alphabet, max_edges)
 
 
 def _full_inert_walk(objects):
     """The inert walk with every object its own source."""
-    return graphs._inert_walk(objects, [(g, 1) for g in objects])
+    return graphs._inert_walk(objects[0].labels, [(g.edges, 1) for g in objects])
 
 
 def _full_segal_walk(objects):
@@ -1025,15 +1083,13 @@ def _full_segal_walk(objects):
 def test_segal_search_matches_reference(monkeypatch):
     for tag in OperadTag:
         for names, max_edges in ((("a",), 3), (("a", "b"), 2)):
-            objects, alphabet = _segal_inputs(tag, names, max_edges)
-            got = _segal_check(objects, alphabet)
+            got = _segal_check(tag, names, max_edges)
             assert got.ok, (tag, names, got)
-            assert got == _reference_check_segal_morphisms(objects, alphabet), (tag, names)
+            assert got == _reference_check_segal_morphisms(*_segal_inputs(tag, names, max_edges)), (tag, names)
     # the reference never validates a whole morphism, so it misses the defect
     monkeypatch.setattr(graphs, "_validate_indices", _cross_fiber_defect(graphs._validate_indices))
-    objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a",), 3)
-    assert _reference_check_segal_morphisms(objects, alphabet).ok
-    assert not _segal_check(objects, alphabet).ok
+    assert _reference_check_segal_morphisms(*_segal_inputs(OperadTag.ASSOC, ("a",), 3)).ok
+    assert not _segal_check(OperadTag.ASSOC, ("a",), 3).ok
 
 
 def _reference_validate_morphism(m):
@@ -1215,9 +1271,8 @@ def test_orbit_walk_matches_full_walk(monkeypatch, defect):
         monkeypatch.setattr(graphs, "_validate_indices", defect(graphs._validate_indices))
     for tag in OperadTag:
         for names, max_edges in ((("a",), 3), (("a", "b"), 2), (("a", "b"), 3)):
-            objects, alphabet = _segal_inputs(tag, names, max_edges)
-            got = _segal_check(objects, alphabet)
-            assert got == _full_segal_walk(objects), (tag, names, max_edges)
+            got = _segal_check(tag, names, max_edges)
+            assert got == _full_segal_walk(_segal_inputs(tag, names, max_edges)[0]), (tag, names, max_edges)
 
 
 def _lift_records(g):
@@ -1291,7 +1346,7 @@ def test_inert_equivariance_sees_an_order_dependent_defect(monkeypatch):
     # equivariance proof is what rules it out
     objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 2)
     monkeypatch.setattr(graphs, "enumerate_inert_from", _drop_at_unsorted(graphs.enumerate_inert_from, alphabet))
-    assert _inert_check(objects, alphabet) == Check("inert-lifts", True, "21 objects")
+    assert _inert_check(OperadTag.ASSOC, ("a", "b"), 2) == Check("inert-lifts", True, "21 objects")
     assert _full_inert_walk(objects) == Check(
         "inert-lifts", False, "(('a', 'b'), ('a', 'a')): lifts cover 4 of 5 inert base maps"
     )
@@ -1375,7 +1430,7 @@ def test_inert_orbit_walk_matches_full_walk(monkeypatch, name, defect):
             objects, alphabet = _segal_inputs(tag, names, max_edges)
             if defect is not None:
                 monkeypatch.setattr(graphs, name, defect(original, alphabet))
-            got = _inert_check(objects, alphabet)
+            got = _inert_check(tag, names, max_edges)
             if defect is _drop_at_unsorted_or_last_kind:
                 witness = f"{_FIRST_HIT_ORBIT[tag]}: lifts cover 4 of 5 inert base maps"
                 assert got == Check("inert-lifts", False, witness), (tag, names, max_edges)
@@ -1400,8 +1455,8 @@ def _renamings(names):
 
 
 def _reference_orbits(objects, alphabet, names):
-    """Each orbit's first member with the objects in its orbit, and the
-    objects sorting to each sorted tuple, by brute force over every
+    """Each orbit's first member's edges with the objects in its orbit, and
+    the objects sorting to each sorted tuple, by brute force over every
     renaming of every object."""
     rank = {ep: r for r, ep in enumerate(alphabet)}
 
@@ -1416,19 +1471,18 @@ def _reference_orbits(objects, alphabet, names):
     first = {}
     for g in objects:
         first.setdefault(orbit[g.edges], g)
-    return [(g, sizes[o]) for o, g in first.items()], Counter(ranked(g.edges) for g in objects)
+    return [(g.edges, sizes[o]) for o, g in first.items()], Counter(ranked(g.edges) for g in objects)
 
 
 @pytest.mark.parametrize("tag", list(OperadTag))
 def test_orbit_sources_match_brute_force(tag):
-    # one first member per orbit, weighted by the objects of its orbit that
-    # objects holds; dropping objects shrinks the weights
+    # one first member per orbit, weighted by the objects of its orbit, from
+    # the sorted tuples alone
     for names, max_edges in ((("a", "b"), 3), (("a", "b", "c"), 2)):
         objects, alphabet = _segal_inputs(tag, names, max_edges)
-        for kept in (objects, objects[:-1], objects[::2]):
-            got = graphs._orbits(kept, alphabet)
-            assert got == _reference_orbits(kept, alphabet, names), (tag, names, len(kept))
-            assert sum(n for _, n in got[0]) == sum(got[1].values()) == len(kept)
+        got, _ = _shipped_orbits(tag, names, max_edges)
+        assert got == _reference_orbits(objects, alphabet, names), (tag, names)
+        assert sum(n for _, n in got[0]) == sum(got[1].values()) == len(objects)
 
 
 def test_operad_axioms_build_orbit_sources_once(monkeypatch):
@@ -1437,9 +1491,9 @@ def test_operad_axioms_build_orbit_sources_once(monkeypatch):
     real = graphs._orbits
     built = []
 
-    def counting(objects, alphabet):
-        built.append(len(objects))
-        return real(objects, alphabet)
+    def counting(tuples, alphabet):
+        built.append(sum(weight for _, weight in tuples))
+        return real(tuples, alphabet)
 
     monkeypatch.setattr(graphs, "_orbits", counting)
     for tag in OperadTag:
@@ -1452,17 +1506,27 @@ def test_operad_axioms_build_orbit_sources_once(monkeypatch):
     assert built == [21]
 
 
-def test_orbit_missing_its_least_member_is_visited_and_counted():
-    # without ((a,a),(a,a)) its orbit is visited through ((b,b),(b,b)), and
-    # the pair count counts the objects that objects holds
-    objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 2)
-    kept = [g for g in objects if g.edges != (("a", "a"), ("a", "a"))]
-    sources, _ = graphs._orbits(kept, alphabet)
-    assert (Graph(S, (("b", "b"), ("b", "b"))), 1) in sources
-    assert _segal_check(kept, alphabet) == _full_segal_walk(kept) == Check(
-        "segal-morphisms", True, "400 source/target pairs"
-    )
-    assert _inert_check(kept, alphabet) == _full_inert_walk(kept) == Check("inert-lifts", True, "20 objects")
+def test_operad_axioms_build_only_orbit_sources(monkeypatch):
+    # no ordered object list and no public Graph construction, passing or
+    # failing: the inert walk builds each orbit source, and a segal failure
+    # walks its source again over plain ordered tuples
+    def refuse(*args):
+        raise AssertionError("built an object graph")
+
+    lifted = []
+
+    def recording(g, real=graphs.enumerate_inert_from):
+        lifted.append(g.edges)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "enumerate_objects", refuse)
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(graphs, "enumerate_inert_from", recording)
+    (sources, _), _ = _shipped_orbits(OperadTag.LM, ("a", "b"), 3)
+    assert check_operad_axioms(OperadTag.LM, S, 3).ok
+    assert lifted == [edges for edges, _ in sources]
+    monkeypatch.setattr(graphs, "_validate_indices", _single_edge_defect(graphs._validate_indices))
+    assert check_operad_axioms(OperadTag.ASSOC, S, 2).first_failure().name == "segal-morphisms"
 
 
 def _accepted_indices(src_edges, tgt_edges):
@@ -1528,11 +1592,10 @@ def test_label_invariance_sees_a_label_dependent_defect(monkeypatch):
     # label-invariance proof is what rules it out
     monkeypatch.setattr(graphs, "_validate_indices", _last_label_source_defect(graphs._validate_indices, "b"))
     for tag in OperadTag:
-        objects, alphabet = _segal_inputs(tag, ("a", "b"), 2)
-        assert _segal_check(objects, alphabet).ok, tag
-        assert _inert_check(objects, alphabet).ok, tag
-    objects, alphabet = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 2)
-    assert _segal_check(objects, alphabet) == Check("segal-morphisms", True, "441 source/target pairs")
+        assert _segal_check(tag, ("a", "b"), 2).ok, tag
+        assert _inert_check(tag, ("a", "b"), 2).ok, tag
+    objects, _ = _segal_inputs(OperadTag.ASSOC, ("a", "b"), 2)
+    assert _segal_check(OperadTag.ASSOC, ("a", "b"), 2) == Check("segal-morphisms", True, "441 source/target pairs")
     assert _full_segal_walk(objects) == Check(
         "segal-morphisms", False, "(('b', 'a'),) -> (('a', 'a'), ('a', 'a')) over (0,): 0 whole vs product 1"
     )
