@@ -37,18 +37,18 @@ OBJECT_BOUND = 10**4
 OBJECT_EDGE_BOUND = 5
 
 
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields as given,
-    without running its __post_init__.
+def _unchecked_graph(labels, edges) -> Graph:
+    """A Graph of these fields without __post_init__, like
+    _unchecked_morphism and simplex._unchecked_delta: only for fields
+    valid by construction and in the form __post_init__ stores."""
+    obj = object.__new__(Graph)
+    object.__setattr__(obj, "__dict__", {"labels": labels, "edges": edges})
+    return obj
 
-    Only for fields that are valid by construction and already in the form
-    __post_init__ would store (tuples, edges as tuples): composites, cuts
-    and splices of valid objects, and candidates built from index ranges
-    or an edge alphabet. The instance equals, hashes and prints like the
-    one the public constructor builds from the same fields.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+
+def _unchecked_morphism(source, target, edge_map, fibers) -> GraphMorphism:
+    obj = object.__new__(GraphMorphism)
+    object.__setattr__(obj, "__dict__", {"source": source, "target": target, "edge_map": edge_map, "fibers": fibers})
     return obj
 
 
@@ -58,7 +58,10 @@ class LabelSet:
     pointed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        try:
+            object.__setattr__(self, "labels", tuple(self.labels))
+        except TypeError:
+            raise InvalidLabels(f"labels {self.labels!r} are not iterable") from None
         for name in self.labels:
             if not name or not isinstance(name, str):
                 raise InvalidLabels(f"label {name!r} must be a non-empty string")
@@ -84,7 +87,10 @@ class Graph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        try:
+            object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        except TypeError:
+            raise InvalidLabels(f"edges {self.edges!r} are not pairs") from None
         for edge in self.edges:
             if len(edge) != 2 or not self.labels.has_vertex(edge[0]) or not self.labels.has_vertex(edge[1]):
                 raise InvalidLabels(f"edge {edge} must join two vertices of {self.labels.vertices()}")
@@ -155,22 +161,14 @@ class OperadTag(Enum):
 def allowed_edges(tag: OperadTag, labels: LabelSet) -> tuple[tuple[str, str], ...]:
     """Edge alphabet of the operad over the unpointed base labels."""
     base = labels.labels
-    star = (STAR,)
-    if tag is OperadTag.ASSOC:
-        src, tgt = base, base
-    elif tag is OperadTag.ASSOC_POINTED:
-        src, tgt = base + star, base + star
-    elif tag is OperadTag.LM:
-        src, tgt = base, base + star
-    else:
-        src, tgt = base + star, base
+    pointed = base + (STAR,)
+    src = pointed if tag in (OperadTag.ASSOC_POINTED, OperadTag.RM) else base
+    tgt = pointed if tag in (OperadTag.ASSOC_POINTED, OperadTag.LM) else base
     return tuple((s, t) for s in src for t in tgt)
 
 
 def tag_labels(tag: OperadTag, labels: LabelSet) -> LabelSet:
-    if tag is OperadTag.ASSOC:
-        return LabelSet(labels.labels, False)
-    return LabelSet(labels.labels, True)
+    return LabelSet(labels.labels, tag is not OperadTag.ASSOC)
 
 
 @dataclass(frozen=True)
@@ -178,9 +176,8 @@ class GraphMorphism:
     """Edge map and ordered fibers between two graphs.
 
     The public constructor checks every index range, and the io loaders
-    also run validate_morphism. Morphisms that oplab builds internally
-    from valid ones (composites, pairings, path images, enumeration
-    candidates) are valid by construction and skip these checks.
+    also run validate_morphism. Composites, pairings, path images and
+    enumeration candidates of valid morphisms skip both.
     """
 
     source: Graph
@@ -189,8 +186,11 @@ class GraphMorphism:
     fibers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_map", tuple(self.edge_map))
-        object.__setattr__(self, "fibers", tuple(tuple(f) for f in self.fibers))
+        try:
+            object.__setattr__(self, "edge_map", tuple(self.edge_map))
+            object.__setattr__(self, "fibers", tuple(tuple(f) for f in self.fibers))
+        except TypeError:
+            raise IndexOutOfRange("edge_map or fibers is not iterable") from None
         n, m = len(self.source.edges), len(self.target.edges)
         if len(self.edge_map) != n:
             raise IndexOutOfRange(f"edge_map has {len(self.edge_map)} entries, expected {n}")
@@ -240,14 +240,12 @@ def underlying_pointed(m: GraphMorphism) -> PointedMap:
 
 def _chain_ok(src_edges, order, s: str, t: str) -> bool:
     """Does the ordered fiber form a path from s to t?"""
-    if not order:
-        return s == t
-    if src_edges[order[0]][0] != s or src_edges[order[-1]][1] != t:
-        return False
-    for a, b in zip(order, order[1:]):
-        if src_edges[a][1] != src_edges[b][0]:
+    for e in order:
+        a, b = src_edges[e]
+        if a != s:
             return False
-    return True
+        s = b
+    return s == t
 
 
 _MORPHISM_OK = passing("morphism")
@@ -266,27 +264,37 @@ def _validate_indices(src_edges, tgt_edges, edge_map, fibers) -> ValidationRepor
     edge map and these fibers between graphs with these edges; stop at the
     first violation.
 
-    Every passing morphism gets the same immutable report.
+    One pass, partition failures before path failures. An edge listed in
+    two fibers is mapped elsewhere in the second, so repeats are sought
+    per fiber, and a mapped edge is unlisted iff fewer are listed. Every
+    passing morphism gets the same immutable report.
     """
-    seen: set[int] = set()
+    listed = 0
+    bad = None  # the first fiber that is no path
     for i, fib in enumerate(fibers):
+        seen = set()
         for e in fib:
             if edge_map[e] != i:
                 return failing("fiber-partition", f"edge {e} listed under target {i} but mapped to {edge_map[e]}")
             if e in seen:
                 return failing("fiber-partition", f"edge {e} listed twice")
             seen.add(e)
-    for e, v in enumerate(edge_map):
-        if v is not None and e not in seen:
-            return failing("fiber-partition", f"edge {e} mapped to {v} but missing from its fiber")
-    for i, fib in enumerate(fibers):
-        s, t = tgt_edges[i]
-        if not fib:
-            if s != t:
-                return failing("condition-one", f"target edge {i} ({s},{t}) has empty fiber but is not a loop")
-        elif not _chain_ok(src_edges, fib, s, t):
-            return failing("condition-two", f"fiber {fib} of target edge {i} is not a path ({s},{t})")
-    return _MORPHISM_OK
+        listed += len(fib)
+        if bad is None:
+            edge = tgt_edges[i]
+            if not (src_edges[fib[0]] == edge if len(fib) == 1 else _chain_ok(src_edges, fib, *edge)):
+                bad = i
+    if listed != len(edge_map) - edge_map.count(None):
+        seen = {e for fib in fibers for e in fib}
+        for e, v in enumerate(edge_map):
+            if v is not None and e not in seen:
+                return failing("fiber-partition", f"edge {e} mapped to {v} but missing from its fiber")
+    if bad is None:
+        return _MORPHISM_OK
+    s, t = tgt_edges[bad]
+    if not fibers[bad]:
+        return failing("condition-one", f"target edge {bad} ({s},{t}) has empty fiber but is not a loop")
+    return failing("condition-two", f"fiber {fibers[bad]} of target edge {bad} is not a path ({s},{t})")
 
 
 def compose_graph_morphisms(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
@@ -298,10 +306,8 @@ def compose_graph_morphisms(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism
     if f.target != g.source:
         raise SourceTargetMismatch("morphisms do not chain")
     edge_map = tuple([None if v is None else g.edge_map[v] for v in f.edge_map])
-    fibers = tuple([
-        tuple([e for mid in g.fibers[i] for e in f.fibers[mid]]) for i in range(len(g.target.edges))
-    ])
-    return _unchecked(GraphMorphism, source=f.source, target=g.target, edge_map=edge_map, fibers=fibers)
+    fibers = tuple([tuple([e for mid in fib for e in f.fibers[mid]]) for fib in g.fibers])
+    return _unchecked_morphism(f.source, g.target, edge_map, fibers)
 
 
 def tensor_graphs(a: Graph, b: Graph) -> Graph:
@@ -356,19 +362,14 @@ def reverse_graph(g: Graph) -> Graph:
 def reverse_morphism(m: GraphMorphism) -> GraphMorphism:
     n = len(m.source.edges)
     k = len(m.target.edges)
-    edge_map = tuple(
-        None if m.edge_map[n - 1 - e] is None else k - 1 - m.edge_map[n - 1 - e]
-        for e in range(n)
-    )
-    fibers = tuple(
-        tuple(n - 1 - e for e in reversed(m.fibers[k - 1 - i])) for i in range(k)
-    )
+    edge_map = tuple(None if v is None else k - 1 - v for v in reversed(m.edge_map))
+    fibers = tuple(tuple(n - 1 - e for e in reversed(fib)) for fib in reversed(m.fibers))
     return GraphMorphism(reverse_graph(m.source), reverse_graph(m.target), edge_map, fibers)
 
 
 def iso_graphs(a: Graph, b: Graph) -> bool:
     """Equality up to a permutation of the edge list."""
-    return a.labels == b.labels and Counter(a.edges) == Counter(b.edges)
+    return a.labels == b.labels and sorted(a.edges) == sorted(b.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +416,7 @@ def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, tuple[int | 
                 continue
             positions.append(len(edges))
             edges.append(edge)
-    return _unchecked(Graph, labels=labels, edges=tuple(edges)), tuple(positions)
+    return _unchecked_graph(labels, tuple(edges)), tuple(positions)
 
 
 def pairing(g0: Graph, g1: Graph) -> Graph:
@@ -432,12 +433,11 @@ def pairing(g0: Graph, g1: Graph) -> Graph:
 def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
     """Pair two valid inert morphisms edge-pair-wise; the result is one too.
 
-    A valid inert keeps its label set and its fibers are single edges equal
-    to their images (GraphMorphism._keeps_edges), so target pair (j0, j1) is
-    spliced iff source pair (fib0[j0], fib1[j1]) is, with the same edge: the
-    target splice is read off the source splice. The source splice, and with
-    it the pairing labels, is memoized on m0's source graph, keyed by m1's.
-    Any other morphism raises NotInert.
+    A valid inert keeps its labels and each fiber is one edge equal to its
+    image (GraphMorphism._keeps_edges), so target pair (j0, j1) is spliced
+    iff source pair (fib0[j0], fib1[j1]) is, with the same edge: one pass
+    reads the target splice off the source splice, which is memoized on
+    m0's source graph, keyed by m1's. Any other morphism raises NotInert.
     """
     if not m0._keeps_edges:
         raise NotInert("left morphism is not a valid inert")
@@ -449,9 +449,11 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
         labels = pairing_labels(m0.source.labels, m1.source.labels)
         spliced = splices[m1.source] = _splice(m0.source, m1.source, labels)
     source, src_pos = spliced
+    src_edges = source.edges
     width = len(m1.source.edges)
-    edge_map: list[int | None] = [None] * len(source.edges)
-    fibers: list[tuple[int, ...]] = []
+    edge_map: list[int | None] = [None] * len(src_edges)
+    fibers = []
+    edges = []
     for (i0,) in m0.fibers:
         row = i0 * width
         for (i1,) in m1.fibers:
@@ -459,11 +461,9 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
             if k is not None:
                 edge_map[k] = len(fibers)
                 fibers.append((k,))
-    edges = tuple([source.edges[k] for (k,) in fibers])
-    target = _unchecked(Graph, labels=source.labels, edges=edges)
-    return _unchecked(
-        GraphMorphism, source=source, target=target, edge_map=tuple(edge_map), fibers=tuple(fibers)
-    )
+                edges.append(src_edges[k])
+    target = _unchecked_graph(source.labels, tuple(edges))
+    return _unchecked_morphism(source, target, tuple(edge_map), tuple(fibers))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +554,7 @@ def enumerate_graph_morphisms(src: Graph, tgt: Graph) -> list[GraphMorphism]:
                 f"{src.edges} -> {tgt.edges}: candidate {edge_map} with fibers {fibers} "
                 f"rejected by {failure.name}: {failure.witness}"
             )
-        out.append(_unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers))
+        out.append(_unchecked_morphism(src, tgt, edge_map, fibers))
     out.sort(key=_morphism_sort_key)
     return out
 
@@ -573,11 +573,11 @@ def enumerate_inert_from(g: Graph) -> list[GraphMorphism]:
     for mask in range(1 << n):
         kept = [e for e in range(n) if mask >> e & 1]
         for perm in itertools.permutations(kept):
-            target = _unchecked(Graph, labels=g.labels, edges=tuple(g.edges[e] for e in perm))
+            target = _unchecked_graph(g.labels, tuple(g.edges[e] for e in perm))
             pos = {e: j for j, e in enumerate(perm)}
             edge_map = tuple(pos.get(e) for e in range(n))
             fibers = tuple((e,) for e in perm)
-            out.append(_unchecked(GraphMorphism, source=g, target=target, edge_map=edge_map, fibers=fibers))
+            out.append(_unchecked_morphism(g, target, edge_map, fibers))
     return out
 
 
@@ -662,7 +662,7 @@ def _inert_walk(labels: LabelSet, sources) -> Check:
     order; its witness is reported as found.
     """
     for edges, _ in sources:
-        g = _unchecked(Graph, labels=labels, edges=edges)
+        g = _unchecked_graph(labels, edges)
         n = len(g.edges)
         bases: set[tuple[int, ...]] = set()
         for lift in enumerate_inert_from(g):
@@ -806,13 +806,10 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
         the target; one search and one validator decide both sides.
 
     The objects come as sorted edge tuples, each weighted by its edge orders
-    (_sorted_tuples), and (2) checks those. (1) and (3) visit one source per
-    orbit of edge orders and base-label permutations, its first member in
-    objects order, and (3) compares each with every sorted target. Both
-    symmetries carry the conditions along, so a failure is reported at the
-    first failing object in objects order, and by (3) at that source's
-    first failing target in objects order. The weights make the object
-    count of (1) and the pair count of (3) count every ordered object.
+    (_sorted_tuples), and (2) checks those. (1) and (3) decide one source
+    per orbit (_orbits), and (3) compares each with every sorted target;
+    the first failure and the counts are those of the walk over every
+    ordered object (_inert_walk, _segal_walk).
 
     A negative bound raises InvalidBound, and objects past OBJECT_BOUND or
     OBJECT_EDGE_BOUND raise SizeBoundExceeded, before any is generated.

@@ -29,7 +29,7 @@ from .graphs import (
     OperadTag,
     STAR,
     _require_enumerable,
-    _unchecked,
+    _unchecked_morphism,
     classify_graph_morphism,
     compose_graph_morphisms,
     enumerate_graph_morphisms,
@@ -66,8 +66,8 @@ class LabeledSimplex:
     def dim(self) -> int:
         return len(self.chain) - 1
 
-    # The chain's path graphs, built once per chain: the path image, and
-    # the left-module paths at levels 0 and 1 over the pointed labels.
+    # Built once per chain: the path image, the left-module paths at levels
+    # 0 and 1 over the pointed labels, and the structural inert between.
 
     @read_once
     def _cut(self) -> Graph:
@@ -80,15 +80,9 @@ class LabeledSimplex:
 
     @read_once
     def _structural_inert(self) -> GraphMorphism:
-        """Delete the final basepoint edge: level 0 to level 1."""
         a = self.dim()
-        return _unchecked(
-            GraphMorphism,
-            source=self._lcuts[0],
-            target=self._lcuts[1],
-            edge_map=tuple(range(a)) + (None,),
-            fibers=tuple((j,) for j in range(a)),
-        )
+        fibers = tuple((j,) for j in range(a))
+        return _unchecked_morphism(*self._lcuts, tuple(range(a)) + (None,), fibers)
 
 
 @dataclass(frozen=True)
@@ -97,9 +91,7 @@ class DeltaOpMorphism:
     source positions.
 
     The public constructor checks the map's length, range, monotonicity
-    and labels. Morphisms that oplab builds internally from valid ones
-    (composites, enumerated hom-sets) are valid by construction and skip
-    these checks.
+    and labels; composites and enumerated hom-sets skip these checks.
     """
 
     source: LabeledSimplex
@@ -128,7 +120,13 @@ class DeltaOpMorphism:
         """The path image (see cut_morphism), built once per morphism."""
         edge_map, fibers = _cut_indices(self.underlying, self.source.dim())
         src, tgt = cut_object(self.source), cut_object(self.target)
-        return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=edge_map, fibers=fibers)
+        return _unchecked_morphism(src, tgt, edge_map, fibers)
+
+
+def _unchecked_delta(source, target, underlying) -> DeltaOpMorphism:
+    obj = object.__new__(DeltaOpMorphism)
+    object.__setattr__(obj, "__dict__", {"source": source, "target": target, "underlying": underlying})
+    return obj
 
 
 def identity_delta(x: LabeledSimplex) -> DeltaOpMorphism:
@@ -139,12 +137,7 @@ def compose_delta(m: DeltaOpMorphism, m2: DeltaOpMorphism) -> DeltaOpMorphism:
     """m then m2; index maps compose the other way around."""
     if m.target != m2.source:
         raise SourceTargetMismatch("chain morphisms do not chain")
-    return _unchecked(
-        DeltaOpMorphism,
-        source=m.source,
-        target=m2.target,
-        underlying=tuple([m.underlying[v] for v in m2.underlying]),
-    )
+    return _unchecked_delta(m.source, m2.target, tuple([m.underlying[v] for v in m2.underlying]))
 
 
 def cut_object(x: LabeledSimplex) -> Graph:
@@ -217,18 +210,14 @@ def lcut_morphism(m: DeltaOpMorphism, i: int, j: int) -> GraphMorphism:
     tgt = lcut(m.target, j)
     base = m._cut
     if (i, j) == (1, 1):
-        return _unchecked(GraphMorphism, source=src, target=tgt, edge_map=base.edge_map, fibers=base.fibers)
+        return _unchecked_morphism(src, tgt, base.edge_map, base.fibers)
     if (i, j) == (0, 1):
-        return _unchecked(
-            GraphMorphism, source=src, target=tgt, edge_map=base.edge_map + (None,), fibers=base.fibers
-        )
+        return _unchecked_morphism(src, tgt, base.edge_map + (None,), base.fibers)
     edge_map = list(base.edge_map) + [None] * (a + 1 - len(base.edge_map))
     tail = tuple(range(g[b], a)) + (a,)
     for e in tail:
         edge_map[e] = b
-    return _unchecked(
-        GraphMorphism, source=src, target=tgt, edge_map=tuple(edge_map), fibers=base.fibers + (tail,)
-    )
+    return _unchecked_morphism(src, tgt, tuple(edge_map), base.fibers + (tail,))
 
 
 def cartesian_lift(
@@ -298,7 +287,7 @@ def enumerate_delta_morphisms(a: LabeledSimplex, b: LabeledSimplex) -> list[Delt
     for x in b.chain:
         allowed = positions.get(x, ())
         maps = [g + (v,) for g in maps for v in allowed if not g or v >= g[-1]]
-    return [_unchecked(DeltaOpMorphism, source=a, target=b, underlying=g) for g in maps]
+    return [_unchecked_delta(a, b, g) for g in maps]
 
 
 def _check_inert_chain_lifts(chains) -> Check:
@@ -360,7 +349,7 @@ def _check_cartesian_lifts(labels, chains, homs, graph_pool) -> Check:
             # cartesian_lift has validated it
             _, fresh = cartesian_lift(y, phi)
             source = chains[fresh.source.chain]
-            lift = _unchecked(DeltaOpMorphism, source=source, target=y, underlying=fresh.underlying)
+            lift = _unchecked_delta(source, y, fresh.underlying)
             order = [e for fib in phi.fibers for e in fib]
             if order == sorted(order):
                 if cut_morphism(lift) != phi:

@@ -80,6 +80,8 @@ def _graph_morphism(edge_map, fibers):
         ((0, -1), ((0, 1),), "edge image -1 outside target"),
         ((0, 0), ((0, 2),), "fiber entry 2 outside source"),
         ((0, 0), ((-1, 0),), "fiber entry -1 outside source"),
+        (None, (), "edge_map or fibers is not iterable"),
+        ((0, 0), (1,), "edge_map or fibers is not iterable"),
     ],
 )
 def test_graph_morphism_constructor_checks_indices(edge_map, fibers, message):

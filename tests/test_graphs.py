@@ -88,6 +88,10 @@ _TWO_VERTICES = r"edge \({}\) must join two vertices of \('a',\)"
         (lambda: graphs.LabelSet((["a"],)), r"label \['a'\] must be a non-empty string"),
         (lambda: Graph(labelset("a"), [("a", "a", "a")]), _TWO_VERTICES.format("'a', 'a', 'a'")),
         (lambda: Graph(labelset("a"), [("a", "b")]), _TWO_VERTICES.format("'a', 'b'")),
+        # input that is not iterable where a tuple is built
+        (lambda: Graph(labelset("a"), [1]), r"edges \[1\] are not pairs"),
+        (lambda: Graph(labelset("a"), None), "edges None are not pairs"),
+        (lambda: graphs.LabelSet(None), "labels None are not iterable"),
     ],
 )
 def test_constructors_refuse_malformed_labels_and_edges(build, message):
@@ -926,7 +930,7 @@ def test_read_once_runs_once_per_instance_and_stores_in_its_dict():
 
 def test_graph_hash_is_the_field_hash_and_stays_out_of_eq_and_repr():
     edges = (("a", "b"), ("b", STAR))
-    unchecked = graphs._unchecked(Graph, labels=SP, edges=edges)
+    unchecked = graphs._unchecked_graph(SP, edges)
     public = Graph(SP, [list(e) for e in edges])
     assert unchecked == public
     assert hash(unchecked) == hash(public) == hash((SP, edges))
@@ -1118,10 +1122,31 @@ def _reference_validate_morphism(m):
     return passing("morphism")
 
 
+def _seeded_corruptions():
+    """Morphisms that fail the validator where its one pass takes a short
+    cut, with the failure the reference reports first."""
+    six = Graph(S, (("a", "b"),) * 6)
+    one = Graph(S, (("a", "b"),))
+    return [
+        # a one-edge fiber on an edge with the wrong source or target
+        (GraphMorphism(Graph(S, (("b", "b"),)), one, (0,), ((0,),)), "fiber (0,) of target edge 0 is not a path (a,b)"),
+        (GraphMorphism(Graph(S, (("a", "a"),)), one, (0,), ((0,),)), "fiber (0,) of target edge 0 is not a path (a,b)"),
+        # a repeat within a fiber is reported before a later wrong edge map
+        (GraphMorphism(six, one, (None, None, None, 0, None, None), ((3, 3, 5),)), "edge 3 listed twice"),
+        # an edge mapped but listed in no fiber, after a path failure
+        (
+            GraphMorphism(Graph(S, (("b", "a"), ("a", "b"))), one, (0, 0), ((0,),)),
+            "edge 1 mapped to 0 but missing from its fiber",
+        ),
+    ]
+
+
 def test_validator_matches_reference_body():
     # every candidate between the objects of each tag over {a,b} with <=2
     # edges and of assoc over {a} with <=3; the singleton-fiber and
-    # malformed maps add partition and label-set failures
+    # malformed maps add partition and label-set failures; the criterion-3
+    # pairings at (1,1), (1,2) and (2,1) are valid inerts, and the seeded
+    # corruptions fail where the one pass takes its short cuts
     object_sets = [_segal_inputs(tag, ("a", "b"), 2)[0] for tag in OperadTag]
     object_sets.append(_segal_inputs(OperadTag.ASSOC, ("a",), 3)[0])
     ms = [
@@ -1131,6 +1156,17 @@ def test_validator_matches_reference_body():
         for edge_map, fibers in _all_candidates(len(src.edges), len(tgt.edges))
     ]
     ms += _singleton_fiber_morphisms(SP) + _malformed_inerts()
+    for s_names, t_names in ((("a",), ("c",)), (("a",), ("c", "d")), (("a", "b"), ("c",))):
+        sp = labelset(*s_names, pointed=True)
+        tp = labelset(*t_names, pointed=True)
+        lefts = [m for g in enumerate_objects(OperadTag.LM, sp, 2) for m in enumerate_inert_from(g)]
+        rights = [m for g in enumerate_objects(OperadTag.RM, tp, 2) for m in enumerate_inert_from(g)]
+        pairs = [pairing_inert(m0, m1) for m0 in lefts for m1 in rights]
+        assert len(pairs) == {1: 625, 2: 4825}[len(s_names) * len(t_names)]
+        ms += pairs
+    for m, witness in _seeded_corruptions():
+        assert _reference_validate_morphism(m).first_failure().witness == witness
+        ms.append(m)
     verdicts = Counter()
     for m in ms:
         want = _reference_validate_morphism(m)

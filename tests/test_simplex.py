@@ -303,17 +303,22 @@ def test_enumerator_reference_sees_strict_monotonicity():
 
 
 def test_enumerator_builds_each_morphism_once(monkeypatch):
-    real = simplex._unchecked
     built = Counter()
 
-    def counting(cls, **fields):
-        built[cls] += 1
-        return real(cls, **fields)
+    def counting(name):
+        real = getattr(simplex, name)
 
-    monkeypatch.setattr(simplex, "_unchecked", counting)
+        def build(*fields):
+            built[name] += 1
+            return real(*fields)
+
+        monkeypatch.setattr(simplex, name, build)
+
+    counting("_unchecked_delta")
+    counting("_unchecked_morphism")
     chains = enumerate_simplices(S, 4)
     returned = sum(len(enumerate_delta_morphisms(a, b)) for a in chains for b in chains)
-    assert built == {DeltaOpMorphism: returned} and returned == 1440
+    assert built == {"_unchecked_delta": returned} and returned == 1440
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +663,7 @@ def _break_lifts_into_b(monkeypatch):
         source, lift = real(target, phi)
         if target.chain[0] == "b":
             ends = (0,) * len(lift.underlying)
-            lift = simplex._unchecked(DeltaOpMorphism, source=source, target=target, underlying=ends)
+            lift = simplex._unchecked_delta(source, target, ends)
         return source, lift
 
     monkeypatch.setattr(simplex, "cartesian_lift", defective)
