@@ -108,13 +108,13 @@ class Graph:
     # the basepoint there and the edge with both endpoints tagged.
 
     @read_once
-    def _as_left(self) -> tuple[bool, tuple[tuple[bool, tuple[str, str]], ...]]:
+    def _as_left(self) -> tuple[bool, tuple]:
         return is_left_modular(self), tuple(
             (t == STAR, (left_label(s), left_label(t))) for s, t in self.edges
         )
 
     @read_once
-    def _as_right(self) -> tuple[bool, tuple[tuple[bool, tuple[str, str]], ...]]:
+    def _as_right(self) -> tuple[bool, tuple]:
         return is_right_modular(self), tuple(
             (s == STAR, (right_label(s), right_label(t))) for s, t in self.edges
         )
@@ -196,13 +196,14 @@ class GraphMorphism:
             raise IndexOutOfRange(f"edge_map has {len(self.edge_map)} entries, expected {n}")
         if len(self.fibers) != m:
             raise IndexOutOfRange(f"fibers has {len(self.fibers)} entries, expected {m}")
+        # `in range` is False, not a TypeError, for an entry that is no number
         for v in self.edge_map:
-            if v is not None and not 0 <= v < m:
-                raise IndexOutOfRange(f"edge image {v} outside target")
+            if v is not None and v not in range(m):
+                raise IndexOutOfRange(f"edge image {v!r} outside target")
         for fib in self.fibers:
             for e in fib:
-                if not 0 <= e < n:
-                    raise IndexOutOfRange(f"fiber entry {e} outside source")
+                if e not in range(n):
+                    raise IndexOutOfRange(f"fiber entry {e!r} outside source")
 
     @read_once
     def _class(self) -> MapClass:
@@ -266,12 +267,21 @@ def _validate_indices(src_edges, tgt_edges, edge_map, fibers) -> ValidationRepor
 
     One pass, partition failures before path failures. An edge listed in
     two fibers is mapped elsewhere in the second, so repeats are sought
-    per fiber, and a mapped edge is unlisted iff fewer are listed. Every
+    per fiber, and a mapped edge is unlisted iff fewer are listed. A
+    one-edge fiber whose edge is mapped to it needs no set: it cannot
+    repeat, and it is a path iff its edge is the target edge. Every
     passing morphism gets the same immutable report.
     """
     listed = 0
     bad = None  # the first fiber that is no path
     for i, fib in enumerate(fibers):
+        listed += len(fib)
+        if len(fib) == 1:
+            (e,) = fib
+            if edge_map[e] == i:
+                if bad is None and src_edges[e] != tgt_edges[i]:
+                    bad = i
+                continue
         seen = set()
         for e in fib:
             if edge_map[e] != i:
@@ -279,11 +289,8 @@ def _validate_indices(src_edges, tgt_edges, edge_map, fibers) -> ValidationRepor
             if e in seen:
                 return failing("fiber-partition", f"edge {e} listed twice")
             seen.add(e)
-        listed += len(fib)
-        if bad is None:
-            edge = tgt_edges[i]
-            if not (src_edges[fib[0]] == edge if len(fib) == 1 else _chain_ok(src_edges, fib, *edge)):
-                bad = i
+        if bad is None and not _chain_ok(src_edges, fib, *tgt_edges[i]):
+            bad = i
     if listed != len(edge_map) - edge_map.count(None):
         seen = {e for fib in fibers for e in fib}
         for e, v in enumerate(edge_map):
@@ -387,13 +394,10 @@ def right_label(name: str) -> str:
 @lru_cache(maxsize=256)
 def pairing_labels(s: LabelSet, t: LabelSet) -> LabelSet:
     """Disjoint union of the two base label sets, tagged left/right."""
-    return LabelSet(
-        tuple(left_label(x) for x in s.labels) + tuple(right_label(y) for y in t.labels),
-        False,
-    )
+    return LabelSet(tuple(map(left_label, s.labels)) + tuple(map(right_label, t.labels)))
 
 
-def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, tuple[int | None, ...]]:
+def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, tuple]:
     """The pairing of g0 and g1, labeled by labels (their pairing_labels),
     and the position in it of each edge pair: the pair (i0, i1) sits at
     index i0 * len(g1.edges) + i1, None when the pairing drops it."""
@@ -404,7 +408,7 @@ def _splice(g0: Graph, g1: Graph, labels: LabelSet) -> tuple[Graph, tuple[int | 
     if not right_modular:
         raise NotRightModular("right argument has an edge into the basepoint")
     edges = []
-    positions: list[int | None] = []
+    positions = []
     for touches0, edge0 in left:
         for touches1, edge1 in right:
             if touches0:
@@ -451,7 +455,7 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
     source, src_pos = spliced
     src_edges = source.edges
     width = len(m1.source.edges)
-    edge_map: list[int | None] = [None] * len(src_edges)
+    edge_map = [None] * len(src_edges)
     fibers = []
     edges = []
     for (i0,) in m0.fibers:
@@ -470,7 +474,7 @@ def pairing_inert(m0: GraphMorphism, m1: GraphMorphism) -> GraphMorphism:
 # Enumeration.
 
 
-def _chain_pool(src_edges, s: str, t: str) -> dict[int, list[tuple[int, ...]]]:
+def _chain_pool(src_edges, s: str, t: str) -> dict:
     """The orders of each subset of source edges that form a path from s to t.
 
     Keys are bitmasks of source edges; each value lists, in lexicographic
@@ -487,7 +491,7 @@ def _chain_pool(src_edges, s: str, t: str) -> dict[int, list[tuple[int, ...]]]:
     return pool
 
 
-def _extend_picks(picks, pool: dict, factors: dict | None = None) -> list:
+def _extend_picks(picks, pool: dict, factors: dict | None = None, twins: int = 0) -> list:
     """Extend each partial pick by one target edge.
 
     A pick is (used, edge_map, orders, product): the mask of source edges
@@ -498,12 +502,18 @@ def _extend_picks(picks, pool: dict, factors: dict | None = None) -> list:
     that mask's edges to the new target edge; the product gains
     factors[mask] when factors is given and is carried unchanged otherwise
     (the candidate search roots it at None and never reads it).
+
+    The twin rule: twins has bit e set when source edge e+1 equals edge e,
+    adjacent as in _segal_source's sorted tuples. A mask may take edge e+1
+    then only with e used or in the mask, so images are nondecreasing along
+    each run of equal edges, deleted edges last: one pick per orbit of
+    swaps of equal edges. 0 keeps every pick.
     """
     out = []
     for used, edge_map, orders, product in picks:
         target = len(orders)
         for mask, mask_orders in pool.items():
-            if not mask & used:
+            if not mask & used and not mask >> 1 & twins & ~(used | mask):
                 images = list(edge_map)
                 # any path order of a mask lists exactly its edges
                 for e in mask_orders[0]:
@@ -617,7 +627,7 @@ def _sorted_tuples(alphabet, max_edges: int):
 # Operad axiom checking.
 
 
-def _orbits(tuples, alphabet) -> tuple[list[tuple[tuple, int]], dict]:
+def _orbits(tuples, alphabet) -> tuple[list, dict]:
     """The orbits of the objects under edge orders and base-label renamings
     (STAR fixed), from the (sorted tuple, weight) pairs of _sorted_tuples.
 
@@ -664,7 +674,7 @@ def _inert_walk(labels: LabelSet, sources) -> Check:
     for edges, _ in sources:
         g = _unchecked_graph(labels, edges)
         n = len(g.edges)
-        bases: set[tuple[int, ...]] = set()
+        bases = set()
         for lift in enumerate_inert_from(g):
             rep = validate_morphism(lift)
             if not rep.ok:
@@ -719,21 +729,25 @@ def _target_trie(targets) -> dict:
     return trie
 
 
-def _segal_source(src_edges, trie) -> tuple[list, list]:
+def _segal_source(src_edges, trie, canonical: bool = True) -> tuple[list, list]:
     """Compare whole-morphism counts with products of single-edge counts
     out of one source, at each target edge tuple of trie (_target_trie).
 
     A depth-first walk over the trie extends the picks of a target's prefix
-    by its last edge. Every candidate of every target is validated whole
-    and counted per edge map, that is per pick. A pick's product
-    multiplies, over its target edges, the validated count into that single
-    edge at the mask it picked; those factors are settled once per edge, on
-    its first visit. A single-edge target's whole count is its factor, so
-    its candidates are not validated again. A nonzero product needs
-    pairwise disjoint masks that each have a path order, so the walk
-    reaches its edge map. Returns the targets compared and the (target,
-    base map, whole, product) mismatches.
+    by its last edge and validates and counts each pick's candidates whole.
+    A pick's product multiplies the counts into each single target edge at
+    the mask it picked, factors settled over every mask on the edge's first
+    visit. A single-edge target's whole count is its factor. A nonzero
+    product needs disjoint masks with path orders, so the walk reaches its
+    edge map. Returns the targets compared and the (target, base map,
+    whole, product) mismatches.
+
+    canonical keeps only the picks of _extend_picks' twin rule, which needs
+    src_edges sorted: a swap of equal source edges carries
+    _validate_indices' accepted set onto itself, so whole and product agree
+    across each orbit. False visits every pick.
     """
+    twins = sum(1 << e for e in range(len(src_edges) - 1) if canonical and src_edges[e] == src_edges[e + 1])
     root = (0, (None,) * len(src_edges), (), 1)
     pools = {}
     factors = {}
@@ -757,7 +771,7 @@ def _segal_source(src_edges, trie) -> tuple[list, list]:
                         mask: _validated_count(src_edges, (ep,), edge_map, orders)
                         for mask, edge_map, orders, _ in _extend_picks([root], pool)
                     }
-                visit(child, _extend_picks(picks, pools[ep], factors[ep]))
+                visit(child, _extend_picks(picks, pools[ep], factors[ep], twins))
 
     visit(trie, [root])
     return compared, mismatches
@@ -767,21 +781,20 @@ def _segal_walk(sources, weights, alphabet, max_edges: int) -> Check:
     """The Segal condition on morphisms (_segal_source), decided at the
     sources of _orbits and the sorted targets that weights counts.
 
-    Permuting a source's or a target's edges carries _validate_indices'
-    accepted set onto itself, and so permutes the whole counts and the
-    single-edge factors per base map without changing them. Renaming the
-    base labels of source and target together keeps the accepted set, as
-    _validate_indices only compares endpoint names for equality. So one
-    source per orbit and one target per edge order decide every pair, and
-    each visited pair counts as the objects in its source's orbit times the
-    weight of its target, so the pair count counts every pair of objects
-    decided.
+    Permuting a source's or a target's edges, or renaming the base labels
+    of both together, carries _validate_indices' accepted set onto itself
+    (it compares endpoint names only for equality), so it keeps the whole
+    counts and single-edge factors per base map. So one source per orbit,
+    one target per edge order and one pick per orbit of swaps of equal
+    source edges (the twin rule of _extend_picks, on sorted sources) decide
+    every pair. Each visited pair counts as its source's orbit size times
+    its target's weight, so the pair count counts every pair of objects.
 
     The failing sources form whole orbits, so the first one in objects
-    order is the first member of the first failing orbit. That one source
-    is walked again over every ordered target (_ordered_tuples), and the
-    mismatch is reported at its first failing target in objects order, at
-    the least base map.
+    order is the first member of the first failing orbit. That source alone
+    is walked again over every ordered target (_ordered_tuples) and every
+    pick, and reports its first failing target in objects order, at the
+    least base map.
     """
     trie = _target_trie(weights)
     pairs = 0
@@ -789,7 +802,7 @@ def _segal_walk(sources, weights, alphabet, max_edges: int) -> Check:
         compared, mismatches = _segal_source(src, trie)
         if mismatches:
             position = {edges: k for k, edges in enumerate(_ordered_tuples(alphabet, max_edges))}
-            _, mismatches = _segal_source(src, _target_trie(position))
+            _, mismatches = _segal_source(src, _target_trie(position), False)
             _, tgt, base, whole, product = min((position[edges], edges, *rest) for edges, *rest in mismatches)
             return Check("segal-morphisms", False, f"{src} -> {tgt} over {base}: {whole} whole vs product {product}")
         pairs += size * sum(map(weights.__getitem__, compared))
@@ -805,11 +818,9 @@ def check_operad_axioms(tag: OperadTag, labels: LabelSet, max_edges: int) -> Val
         product of the validated counts into each single-edge restriction of
         the target; one search and one validator decide both sides.
 
-    The objects come as sorted edge tuples, each weighted by its edge orders
-    (_sorted_tuples), and (2) checks those. (1) and (3) decide one source
-    per orbit (_orbits), and (3) compares each with every sorted target;
-    the first failure and the counts are those of the walk over every
-    ordered object (_inert_walk, _segal_walk).
+    (2) checks the sorted edge tuples of _sorted_tuples; (1) and (3) decide
+    one source per orbit (_orbits), with the first failure and the counts
+    of the walk over every ordered object (_inert_walk, _segal_walk).
 
     A negative bound raises InvalidBound, and objects past OBJECT_BOUND or
     OBJECT_EDGE_BOUND raise SizeBoundExceeded, before any is generated.

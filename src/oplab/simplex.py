@@ -54,7 +54,10 @@ class LabeledSimplex:
     chain: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "chain", tuple(self.chain))
+        try:
+            object.__setattr__(self, "chain", tuple(self.chain))
+        except TypeError:
+            raise InvalidLabels(f"chain {self.chain!r} is not iterable") from None
         if self.labels.pointed:
             raise InvalidLabels("chains are labeled in an unpointed set")
         if not self.chain:
@@ -99,14 +102,17 @@ class DeltaOpMorphism:
     underlying: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "underlying", tuple(self.underlying))
+        try:
+            object.__setattr__(self, "underlying", tuple(self.underlying))
+        except TypeError:
+            raise ValidationError(f"index map {self.underlying!r} is not iterable") from None
         g = self.underlying
         a, b = self.source.dim(), self.target.dim()
         if len(g) != b + 1:
             raise ValidationError(f"index map has {len(g)} entries, expected {b + 1}")
         for v in g:
-            if not 0 <= v <= a:
-                raise ValidationError(f"index {v} outside [0,{a}]")
+            if v not in range(a + 1):
+                raise ValidationError(f"index {v!r} outside [0,{a}]")
         if any(g[i] > g[i + 1] for i in range(b)):
             raise ValidationError(f"index map {g} is not monotone")
         for i, v in enumerate(g):
@@ -158,7 +164,7 @@ def cut_morphism(m: DeltaOpMorphism) -> GraphMorphism:
 def _cut_indices(g: tuple[int, ...], a: int) -> tuple[tuple, tuple]:
     """Edge map and fibers of the path image of index map g out of a chain
     with a edges (see cut_morphism)."""
-    edge_map: list[int | None] = [None] * a
+    edge_map = [None] * a
     fibers = []
     for i in range(len(g) - 1):
         lo, hi = g[i], g[i + 1]
@@ -250,7 +256,7 @@ def cartesian_lift(
     lift = DeltaOpMorphism(source, target, indices)
     # the lift's path image as index data: no path graph of the new chain
     edge_map, fibers = _cut_indices(lift.underlying, source.dim())
-    position: dict[int, int] = {}
+    position = {}
     for k, e in enumerate(order):
         position.setdefault(e, k)  # an edge listed twice keeps its first place
     transported_map = tuple(edge_map[position[e]] if e in position else None for e in range(len(src_edges)))
@@ -280,7 +286,7 @@ def enumerate_delta_morphisms(a: LabeledSimplex, b: LabeledSimplex) -> list[Delt
     a that carries the target's label there and is at least the previous
     index, so no complete map is built only to be discarded.
     """
-    positions: dict[str, list[int]] = {}
+    positions = {}
     for v, x in enumerate(a.chain):
         positions.setdefault(x, []).append(v)
     maps = [()]
@@ -325,7 +331,7 @@ def _orbit_size(labels: LabelSet, entries: tuple[str, ...]) -> int:
     `entries` is the orbit's first member in enumeration order, else 0.
 
     The first member's k-th new label is the k-th of `labels`."""
-    first: dict[str, int] = {}
+    first = {}
     for x in entries:
         if labels.labels[first.setdefault(x, len(first))] != x:
             return 0

@@ -82,6 +82,9 @@ def _graph_morphism(edge_map, fibers):
         ((0, 0), ((-1, 0),), "fiber entry -1 outside source"),
         (None, (), "edge_map or fibers is not iterable"),
         ((0, 0), (1,), "edge_map or fibers is not iterable"),
+        # entries that are no numbers fail the range checks, not compare
+        (("x", 0), ((1,),), "edge image 'x' outside target"),
+        ((0, 0), (("x", 0),), "fiber entry 'x' outside source"),
     ],
 )
 def test_graph_morphism_constructor_checks_indices(edge_map, fibers, message):
@@ -97,6 +100,8 @@ def test_graph_morphism_constructor_checks_indices(edge_map, fibers, message):
         (("a", "b"), ("a",), (-1,), r"index -1 outside \[0,1\]"),
         (("a", "a"), ("a", "a"), (1, 0), r"index map \(1, 0\) is not monotone"),
         (("a", "b"), ("a",), (1,), "labels differ at 0: 'b' vs 'a'"),
+        (("a",), ("a",), None, "index map None is not iterable"),
+        (("a",), ("a",), ("x",), r"index 'x' outside \[0,0\]"),
     ],
 )
 def test_delta_morphism_constructor_checks_map(source, target, underlying, message):

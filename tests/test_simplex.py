@@ -45,6 +45,8 @@ def test_simplex_invariants():
         LabeledSimplex(S, ())
     with pytest.raises(InvalidLabels):
         LabeledSimplex(S, ("q",))
+    with pytest.raises(InvalidLabels, match="^chain None is not iterable$"):
+        LabeledSimplex(labelset("a"), None)
     with pytest.raises(ValidationError):
         DeltaOpMorphism(LabeledSimplex(S, ("a", "b")), LabeledSimplex(S, ("a",)), (1,))
     with pytest.raises(ValidationError):
